@@ -157,6 +157,11 @@ run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings \
     -A clippy::unwrap-used -A clippy::expect-used
 run cargo build --release
+# The simulator-throughput benchmark (perfbench/) is a package of its own
+# that links the crates by path through their public API only; building
+# it here makes a crate API change that breaks the benchmark fail CI.
+run env CARGO_TARGET_DIR=.bench_build \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 run cargo test -q
 run cargo doc --no-deps --quiet
 lint_gate

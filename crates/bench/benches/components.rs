@@ -6,7 +6,7 @@ use asap_os::feistel_permute;
 use asap_pt::{BumpNodeAllocator, PageTable, PteFlags, SimPhysMem, Walker};
 use asap_tlb::{PageWalkCaches, PwcConfig, Tlb, TlbConfig, TlbEntry};
 use asap_types::{Asid, CacheLineAddr, PageSize, PagingMode, PhysFrameNum, VirtAddr, VirtPageNum};
-use asap_workloads::{AccessStream, UniformStream};
+use asap_workloads::{AccessStream, CoRunner, UniformStream};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn cache_hierarchy(c: &mut Criterion) {
@@ -42,6 +42,21 @@ fn cache_hierarchy(c: &mut Criterion) {
             clocks[port] += r.latency + 3;
             black_box(r)
         })
+    });
+
+    // One line of the §4 SMT co-runner: uniform over a 32 GiB footprint,
+    // so nearly every access misses all three levels and fills them —
+    // the path single-core colocated runs spend most of their time on.
+    // `hierarchy_access` stays within 2^20 lines and never shows it.
+    let fabric = asap_cache::SharedFabric::new(HierarchyConfig::broadwell_like());
+    let mut co = CoRunner::memory_intensive(0xC0);
+    // Fill the caches (and fault in their arrays) first: a co-located
+    // run spends its whole measure window in that steady state.
+    for _ in 0..1 << 20 {
+        fabric.access_at(co.next_line(), 0);
+    }
+    g.bench_function("corunner_access", |b| {
+        b.iter(|| black_box(fabric.access_at(co.next_line(), 0)))
     });
     g.finish();
 }
@@ -84,7 +99,7 @@ fn arbitration_scaling(c: &mut Criterion) {
 
 fn tlb_lookup(c: &mut Criterion) {
     let mut g = c.benchmark_group("components/tlb");
-    let mut tlb = Tlb::new(TlbConfig::l2_stlb(), 0);
+    let mut tlb = Tlb::new(TlbConfig::l2_stlb());
     for i in 0..1536u64 {
         tlb.insert(
             Asid(0),
@@ -99,7 +114,7 @@ fn tlb_lookup(c: &mut Criterion) {
             tlb.lookup(Asid(0), VirtPageNum::new(i % 2048))
         })
     });
-    let mut pwc = PageWalkCaches::new(PwcConfig::split_default(), 0);
+    let mut pwc = PageWalkCaches::new(PwcConfig::split_default());
     pwc.fill(
         Asid(0),
         VirtAddr::new(0x1000).unwrap(),
@@ -268,7 +283,6 @@ fn contender_hot_paths(c: &mut Criterion) {
             name: "tiny S-TLB",
             entries: 8,
             ways: 2,
-            replacement: asap_cache::ReplacementKind::Lru,
         },
         ..VictimaConfig::default()
     });
@@ -285,7 +299,7 @@ fn contender_hot_paths(c: &mut Criterion) {
     });
 
     // The PTW cost predictor's record/predict pair.
-    let mut predictor = PtwCostPredictor::new(PtwCostPredictorConfig::default(), 9);
+    let mut predictor = PtwCostPredictor::new(PtwCostPredictorConfig::default());
     let mut j = 0u64;
     g.bench_function("ptw_cost_predict", |b| {
         b.iter(|| {

@@ -4,9 +4,7 @@
 //! the simulator: data caches, L1/L2 TLBs, page-walk caches and the clustered
 //! TLB all wrap [`SetAssoc`] with their own tag and payload types.
 
-use crate::replacement::{policy_rng, PolicyState};
-use crate::ReplacementKind;
-use rand::rngs::SmallRng;
+use crate::replacement::{RankLru, MAX_WAYS};
 
 /// An entry evicted by an insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +28,7 @@ struct Way<K, V> {
 /// replacement and eviction.
 ///
 /// Storage is a single set-major arena (`slots[set * ways + w]`) plus one
-/// structure-wide replacement-state array, rather than a `Vec` of per-set
+/// structure-wide array of exact-LRU ranks, rather than a `Vec` of per-set
 /// `Vec`s: a lookup touches one contiguous run of ways with no per-set
 /// pointer chase, which is what the simulator's hot loop spends most of its
 /// time doing.
@@ -38,9 +36,9 @@ struct Way<K, V> {
 /// # Examples
 ///
 /// ```
-/// use asap_cache::{ReplacementKind, SetAssoc};
+/// use asap_cache::SetAssoc;
 ///
-/// let mut tlb: SetAssoc<u64, &str> = SetAssoc::new(2, 2, ReplacementKind::Lru, 0);
+/// let mut tlb: SetAssoc<u64, &str> = SetAssoc::new(2, 2);
 /// tlb.insert(0, 100, "a");
 /// tlb.insert(0, 200, "b");
 /// assert_eq!(tlb.lookup(0, &100), Some(&"a"));
@@ -53,32 +51,28 @@ pub struct SetAssoc<K, V> {
     slots: Vec<Option<Way<K, V>>>,
     num_sets: usize,
     ways: usize,
-    clock: u64,
-    policy: PolicyState,
-    rng: SmallRng,
+    lru: RankLru,
 }
 
 impl<K: Eq + Copy, V> SetAssoc<K, V> {
-    /// Creates a structure with `num_sets` sets of `ways` ways each.
-    ///
-    /// `seed` makes the random replacement policy (if selected)
-    /// deterministic.
+    /// Creates a structure with `num_sets` sets of `ways` ways each,
+    /// replaced in exact LRU order.
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` or `ways` is zero, or if tree-PLRU is requested
-    /// with non-power-of-two `ways`.
+    /// Panics if `num_sets` is zero or `ways` is not in `1..=256`.
     #[must_use]
-    pub fn new(num_sets: usize, ways: usize, policy: ReplacementKind, seed: u64) -> Self {
+    pub fn new(num_sets: usize, ways: usize) -> Self {
         assert!(num_sets > 0, "need at least one set");
-        assert!(ways > 0, "need at least one way");
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "ways must be in 1..={MAX_WAYS}, got {ways}"
+        );
         Self {
             slots: (0..num_sets * ways).map(|_| None).collect(),
             num_sets,
             ways,
-            clock: 0,
-            policy: PolicyState::new(policy, num_sets, ways),
-            rng: policy_rng(seed),
+            lru: RankLru::new(num_sets, ways),
         }
     }
 
@@ -106,15 +100,12 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     ///
     /// Panics if `set` is out of range.
     pub fn lookup(&mut self, set: usize, key: &K) -> Option<&V> {
-        self.clock += 1;
-        let clock = self.clock;
         let base = set * self.ways;
-        let ways = self.ways;
         assert!(set < self.num_sets, "set {set} out of range");
-        for w in 0..ways {
+        for w in 0..self.ways {
             if let Some(way) = &self.slots[base + w] {
                 if way.key == *key {
-                    self.policy.touch(set, ways, w, clock);
+                    self.lru.touch(set, w);
                     return self.slots[base + w].as_ref().map(|way| &way.value);
                 }
             }
@@ -124,15 +115,12 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
 
     /// Looks up `key` in `set` returning a mutable payload, updating recency.
     pub fn lookup_mut(&mut self, set: usize, key: &K) -> Option<&mut V> {
-        self.clock += 1;
-        let clock = self.clock;
         let base = set * self.ways;
-        let ways = self.ways;
         assert!(set < self.num_sets, "set {set} out of range");
-        for w in 0..ways {
+        for w in 0..self.ways {
             if let Some(way) = &self.slots[base + w] {
                 if way.key == *key {
-                    self.policy.touch(set, ways, w, clock);
+                    self.lru.touch(set, w);
                     return self.slots[base + w].as_mut().map(|way| &mut way.value);
                 }
             }
@@ -156,8 +144,6 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     /// If `key` is already present its payload is replaced (no eviction is
     /// reported) and its recency refreshed.
     pub fn insert(&mut self, set: usize, key: K, value: V) -> Option<Eviction<K, V>> {
-        self.clock += 1;
-        let clock = self.clock;
         let ways = self.ways;
         let base = set * ways;
         assert!(set < self.num_sets, "set {set} out of range");
@@ -166,7 +152,7 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
             if let Some(way) = &mut self.slots[base + w] {
                 if way.key == key {
                     way.value = value;
-                    self.policy.touch(set, ways, w, clock);
+                    self.lru.touch(set, w);
                     return None;
                 }
             }
@@ -175,19 +161,17 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
         for w in 0..ways {
             if self.slots[base + w].is_none() {
                 self.slots[base + w] = Some(Way { key, value });
-                self.policy.touch(set, ways, w, clock);
+                self.lru.touch(set, w);
                 return None;
             }
         }
-        // Evict.
-        let victim = self.policy.victim(set, ways, &mut self.rng);
-        let old = self.slots[base + victim]
-            .replace(Way { key, value })
-            .expect("victim way occupied in a full set");
-        self.policy.touch(set, ways, victim, clock);
-        Some(Eviction {
-            key: old.key,
-            value: old.value,
+        // Evict: the set is full, so the LRU way is occupied.
+        let victim = self.lru.victim(set);
+        let old = self.slots[base + victim].replace(Way { key, value });
+        self.lru.touch(set, victim);
+        old.map(|way| Eviction {
+            key: way.key,
+            value: way.value,
         })
     }
 
@@ -250,7 +234,7 @@ mod tests {
     use super::*;
 
     fn small() -> SetAssoc<u64, u64> {
-        SetAssoc::new(4, 2, ReplacementKind::Lru, 42)
+        SetAssoc::new(4, 2)
     }
 
     #[test]
@@ -341,7 +325,7 @@ mod tests {
     #[test]
     fn sets_are_independent_in_flat_layout() {
         // Fill two adjacent sets and verify each set's LRU decisions ignore
-        // the other's state (guards the set-major slot/stamp indexing).
+        // the other's state (guards the set-major slot/rank indexing).
         let mut c = small();
         c.insert(0, 1, 1);
         c.insert(1, 2, 2);

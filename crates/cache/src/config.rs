@@ -1,6 +1,5 @@
 //! Cache and hierarchy configuration.
 
-use crate::ReplacementKind;
 use asap_types::CACHE_LINE_SIZE;
 
 /// Geometry and timing of a single cache level.
@@ -24,8 +23,6 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Hit latency in cycles, measured from the start of the access.
     pub latency: u64,
-    /// Replacement policy.
-    pub replacement: ReplacementKind,
 }
 
 impl CacheConfig {
@@ -58,15 +55,7 @@ impl CacheConfig {
             num_sets,
             ways,
             latency,
-            replacement: ReplacementKind::Lru,
         }
-    }
-
-    /// Overrides the replacement policy.
-    #[must_use]
-    pub fn with_replacement(mut self, replacement: ReplacementKind) -> Self {
-        self.replacement = replacement;
-        self
     }
 
     /// Capacity in bytes.
@@ -90,8 +79,6 @@ pub struct HierarchyConfig {
     /// Number of L1-D miss-status-holding registers; ASAP prefetches are
     /// dropped (best-effort) when none are free (§3.4).
     pub mshr_entries: usize,
-    /// Seed for replacement randomness (only used by `ReplacementKind::Random`).
-    pub seed: u64,
 }
 
 impl HierarchyConfig {
@@ -106,7 +93,6 @@ impl HierarchyConfig {
             l3: CacheConfig::from_capacity("L3", 20 * 1024 * 1024, 20, 40),
             memory_latency: 191,
             mshr_entries: 10,
-            seed: 0,
         }
     }
 
@@ -120,15 +106,7 @@ impl HierarchyConfig {
             l3: CacheConfig::from_capacity("L3", 1024 * 64, 4, 40),
             memory_latency: 191,
             mshr_entries: 10,
-            seed: 0,
         }
-    }
-
-    /// Overrides the seed used for randomized replacement.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -168,12 +146,5 @@ mod tests {
     fn from_capacity_rejects_bad_sets() {
         // 20 MiB with 32 ways -> 10240 sets: not a power of two.
         let _ = CacheConfig::from_capacity("bad", 20 * 1024 * 1024, 32, 1);
-    }
-
-    #[test]
-    fn replacement_override() {
-        let c =
-            CacheConfig::from_capacity("x", 4096, 4, 1).with_replacement(ReplacementKind::Random);
-        assert_eq!(c.replacement, ReplacementKind::Random);
     }
 }

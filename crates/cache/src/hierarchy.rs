@@ -77,11 +77,10 @@ impl CacheHierarchy {
     /// Builds an empty hierarchy from `config`.
     #[must_use]
     pub fn new(config: HierarchyConfig) -> Self {
-        let seed = config.seed;
         Self {
-            l1: Cache::new(config.l1, seed ^ 1),
-            l2: Cache::new(config.l2, seed ^ 2),
-            l3: Cache::new(config.l3, seed ^ 3),
+            l1: Cache::new(config.l1),
+            l2: Cache::new(config.l2),
+            l3: Cache::new(config.l3),
             memory_latency: config.memory_latency,
             mshrs: MshrFile::new(config.mshr_entries),
             stats: HierarchyStats::default(),
@@ -176,27 +175,27 @@ impl CacheHierarchy {
         }
     }
 
+    /// Looks `line` up level by level, filling every level that misses —
+    /// each level's set is scanned once. The levels share no state, so
+    /// filling a level as soon as it misses leaves the same contents as
+    /// filling them all once the serving level is known.
     fn lookup_and_fill(&mut self, line: CacheLineAddr) -> (u64, ServedBy) {
-        if self.l1.access(line) {
+        if self.l1.access_or_fill(line) {
             self.record(0, true);
             return (self.l1.latency(), ServedBy::L1);
         }
         self.record(0, false);
-        if self.l2.access(line) {
+        if self.l2.access_or_fill(line) {
             self.record(1, true);
-            self.l1.fill(line);
             return (self.l2.latency(), ServedBy::L2);
         }
         self.record(1, false);
-        if self.l3.access(line) {
+        if self.l3.access_or_fill(line) {
             self.record(2, true);
-            self.l1.fill(line);
-            self.l2.fill(line);
             return (self.l3.latency(), ServedBy::L3);
         }
         self.record(2, false);
         self.stats.memory_accesses += 1;
-        self.fill_all(line);
         (self.memory_latency, ServedBy::Memory)
     }
 

@@ -5,10 +5,10 @@
 //! access* (§4, "Measuring page walk latency"). This crate provides that
 //! machinery:
 //!
-//! * a generic set-associative container ([`SetAssoc`]) with pluggable
-//!   replacement ([`ReplacementKind`]: LRU, tree-PLRU, random), reused by the
-//!   TLBs and page-walk caches in `asap-tlb`;
-//! * a physical-line cache model ([`Cache`]);
+//! * a generic set-associative container ([`SetAssoc`]) with exact LRU
+//!   replacement, reused by the TLBs and page-walk caches in `asap-tlb`;
+//! * a physical-line cache model ([`Cache`]): a compact array of line tags,
+//!   replaced in the same exact-LRU order;
 //! * a miss-status-holding-register file ([`MshrFile`]) that merges demand
 //!   accesses with in-flight ASAP prefetches — the paper's §3.4 mechanism
 //!   ("ASAP leverages existing machinery for buffering the outstanding
@@ -53,5 +53,4 @@ pub use config::{CacheConfig, HierarchyConfig};
 pub use fabric::{MemoryFabric, NumaConfig, NumaStats, SharedFabric, NUMA_HOP_CYCLES};
 pub use hierarchy::{AccessKind, AccessResult, CacheHierarchy, ServedBy};
 pub use mshr::{MshrFile, MshrOutcome};
-pub use replacement::ReplacementKind;
 pub use stats::{CacheStats, HierarchyStats};

@@ -1,123 +1,68 @@
-//! Replacement policies for set-associative structures.
+//! Exact LRU replacement as per-set move-to-front ranks.
+//!
+//! Every way holds one `u8` rank: its position in its set's recency order,
+//! 0 being the most recently used. Touching a way moves it to the front and
+//! ages every way that was ahead of it by one; the victim of a full set is
+//! the way ranked `ways - 1`. That is the same order recency stamps give, so
+//! victims are the same ones a stamp-per-way LRU picks — with one byte per
+//! way instead of eight and no structure-wide clock.
+//!
+//! The ranks start all zero, so the array comes from one zeroed allocation.
+//! A way that was never touched shares the rank `k` of its untouched peers
+//! (`k` being the number of ways touched so far), which sits behind every
+//! touched way; the update below keeps that true. A set can only be full
+//! once each of its ways has been filled, and a fill touches, so the ranks
+//! of a full set are always a permutation of `0..ways`.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+/// Most ways one set may have: ranks are `u8`.
+pub(crate) const MAX_WAYS: usize = 1 << u8::BITS;
 
-/// The replacement policy used by a set-associative structure.
-///
-/// LRU is the paper's implicit default for caches and TLBs; tree-PLRU and
-/// random are provided for the replacement-policy ablation documented in
-/// DESIGN.md.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementKind {
-    /// True least-recently-used via per-way recency stamps.
-    #[default]
-    Lru,
-    /// Tree pseudo-LRU (requires power-of-two associativity).
-    TreePlru,
-    /// Uniform random victim selection (deterministically seeded).
-    Random,
-}
-
-impl core::fmt::Display for ReplacementKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ReplacementKind::Lru => f.write_str("LRU"),
-            ReplacementKind::TreePlru => f.write_str("tree-PLRU"),
-            ReplacementKind::Random => f.write_str("random"),
-        }
-    }
-}
-
-/// Structure-wide replacement state, flattened across all sets: one
-/// contiguous stamp array (LRU) or bit array (tree-PLRU) instead of a heap
-/// allocation per set, so the hot lookup/insert paths touch a single cache
-/// line per set rather than chasing a per-set `Vec`.
-///
-/// Decisions are bit-identical to the old per-set representation: each
-/// set's state occupies its own `set * ways ..` slice (LRU) or `bits[set]`
-/// word (tree-PLRU), and the victim/touch logic over that slice is
-/// unchanged.
+/// Per-set move-to-front ranks for a structure of `num_sets * ways` ways,
+/// set-major (`ranks[set * ways + w]`).
 #[derive(Debug, Clone)]
-pub(crate) enum PolicyState {
-    Lru { stamps: Vec<u64> },
-    TreePlru { bits: Vec<u64> },
-    Random,
+pub(crate) struct RankLru {
+    ranks: Vec<u8>,
+    ways: usize,
 }
 
-impl PolicyState {
-    pub(crate) fn new(kind: ReplacementKind, num_sets: usize, ways: usize) -> Self {
-        match kind {
-            ReplacementKind::Lru => PolicyState::Lru {
-                stamps: vec![0; num_sets * ways],
-            },
-            ReplacementKind::TreePlru => {
-                assert!(
-                    ways.is_power_of_two(),
-                    "tree-PLRU requires power-of-two associativity, got {ways}"
-                );
-                PolicyState::TreePlru {
-                    bits: vec![0; num_sets],
-                }
-            }
-            ReplacementKind::Random => PolicyState::Random,
+impl RankLru {
+    /// Ranks for `num_sets` sets of `ways` ways (`1..=MAX_WAYS`).
+    pub(crate) fn new(num_sets: usize, ways: usize) -> Self {
+        Self {
+            ranks: vec![0; num_sets * ways],
+            ways,
         }
     }
 
-    /// Records a use of `way` in `set` at logical time `stamp`.
-    pub(crate) fn touch(&mut self, set: usize, ways: usize, way: usize, stamp: u64) {
-        match self {
-            PolicyState::Lru { stamps } => stamps[set * ways + way] = stamp,
-            PolicyState::TreePlru { bits } => {
-                // Walk from the root, flipping each internal node away from
-                // the touched way.
-                let bits = &mut bits[set];
-                let mut node = 1usize;
-                let levels = ways.trailing_zeros();
-                for level in (0..levels).rev() {
-                    let bit = (way >> level) & 1;
-                    if bit == 0 {
-                        *bits |= 1 << node; // point away: towards right
-                    } else {
-                        *bits &= !(1 << node); // point towards left
-                    }
-                    node = node * 2 + bit;
-                }
-            }
-            PolicyState::Random => {}
+    /// Records a use of `way` in `set`: it becomes the most recent.
+    #[inline]
+    pub(crate) fn touch(&mut self, set: usize, way: usize) {
+        let base = set * self.ways;
+        let ranks = &mut self.ranks[base..base + self.ways];
+        let r = ranks[way];
+        // Ages every way at or ahead of `way` (untouched peers share its
+        // rank); `way` itself is then reset, so its wrap cannot matter.
+        for x in ranks.iter_mut() {
+            *x = x.wrapping_add(u8::from(*x <= r));
         }
+        ranks[way] = 0;
     }
 
-    /// Chooses a victim way in `set` among `ways` candidates.
-    pub(crate) fn victim(&self, set: usize, ways: usize, rng: &mut SmallRng) -> usize {
-        match self {
-            PolicyState::Lru { stamps } => stamps[set * ways..(set + 1) * ways]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| **s)
-                .map(|(w, _)| w)
-                .expect("non-empty set"),
-            PolicyState::TreePlru { bits } => {
-                let bits = bits[set];
-                let mut node = 1usize;
-                let levels = ways.trailing_zeros();
-                let mut way = 0usize;
-                for _ in 0..levels {
-                    let dir = ((bits >> node) & 1) as usize;
-                    way = way * 2 + dir;
-                    node = node * 2 + dir;
-                }
-                way
+    /// The least recently used way of `set`. Only meaningful for a full
+    /// set, whose ranks are a permutation of `0..ways`. Like the tag scan,
+    /// it reads every rank instead of stopping at an unpredictable way.
+    #[inline]
+    pub(crate) fn victim(&self, set: usize) -> usize {
+        let base = set * self.ways;
+        let last = (self.ways - 1) as u8;
+        let mut victim = 0;
+        for (w, &r) in self.ranks[base..base + self.ways].iter().enumerate() {
+            if r == last {
+                victim = w;
             }
-            PolicyState::Random => rng.gen_range(0..ways),
         }
+        victim
     }
-}
-
-/// A deterministic RNG for replacement decisions; seeded per structure so
-/// simulations are exactly reproducible.
-pub(crate) fn policy_rng(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF)
 }
 
 #[cfg(test)]
@@ -126,71 +71,47 @@ mod tests {
 
     #[test]
     fn lru_picks_least_recent() {
-        let mut p = PolicyState::new(ReplacementKind::Lru, 2, 4);
-        let mut rng = policy_rng(0);
-        for (way, t) in [(0, 10), (1, 5), (2, 20), (3, 15)] {
-            p.touch(1, 4, way, t);
+        let mut p = RankLru::new(2, 4);
+        // Touch order 1, 0, 3, 2: way 1 is the least recent.
+        for way in [1, 0, 3, 2] {
+            p.touch(1, way);
         }
-        assert_eq!(p.victim(1, 4, &mut rng), 1);
-        p.touch(1, 4, 1, 30);
-        assert_eq!(p.victim(1, 4, &mut rng), 0);
-        // The untouched set 0 is independent: all-zero stamps pick way 0.
-        assert_eq!(p.victim(0, 4, &mut rng), 0);
-    }
-
-    #[test]
-    fn tree_plru_avoids_recent() {
-        let mut p = PolicyState::new(ReplacementKind::TreePlru, 1, 4);
-        let mut rng = policy_rng(0);
-        // After touching way 0, the victim must not be way 0.
-        p.touch(0, 4, 0, 1);
-        assert_ne!(p.victim(0, 4, &mut rng), 0);
-        // Touch everything; victim is still a valid way.
-        for w in 0..4 {
-            p.touch(0, 4, w, 2);
+        assert_eq!(p.victim(1), 1);
+        p.touch(1, 1);
+        assert_eq!(p.victim(1), 0);
+        // Sets are independent: a sweep of touches in set 0 picks its own
+        // oldest way and leaves set 1's order alone.
+        for way in 0..4 {
+            p.touch(0, way);
         }
-        assert!(p.victim(0, 4, &mut rng) < 4);
+        assert_eq!(p.victim(0), 0);
+        assert_eq!(p.victim(1), 0);
     }
 
     #[test]
-    fn tree_plru_cycles_through_all_ways() {
-        // Repeatedly touching the current victim must visit every way.
-        let mut p = PolicyState::new(ReplacementKind::TreePlru, 1, 8);
-        let mut rng = policy_rng(0);
-        let mut seen = std::collections::HashSet::new();
-        for t in 0..8 {
-            let v = p.victim(0, 8, &mut rng);
-            seen.insert(v);
-            p.touch(0, 8, v, t);
+    fn ranks_become_a_permutation_once_every_way_is_touched() {
+        let mut p = RankLru::new(1, 5);
+        for way in [3, 3, 0, 4, 1, 0, 2] {
+            p.touch(0, way);
         }
-        assert_eq!(seen.len(), 8, "PLRU failed to cycle: {seen:?}");
+        let mut ranks = p.ranks.clone();
+        ranks.sort_unstable();
+        assert_eq!(ranks, [0, 1, 2, 3, 4]);
+        // Last touches in order: 3, 4, 1, 0, 2.
+        assert_eq!(p.ranks, [1, 2, 0, 4, 3]);
+        assert_eq!(p.victim(0), 3);
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn tree_plru_rejects_non_power_of_two() {
-        let _ = PolicyState::new(ReplacementKind::TreePlru, 1, 6);
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let p = PolicyState::new(ReplacementKind::Random, 1, 8);
-        let seq1: Vec<_> = {
-            let mut rng = policy_rng(7);
-            (0..16).map(|_| p.victim(0, 8, &mut rng)).collect()
-        };
-        let seq2: Vec<_> = {
-            let mut rng = policy_rng(7);
-            (0..16).map(|_| p.victim(0, 8, &mut rng)).collect()
-        };
-        assert_eq!(seq1, seq2);
-        assert!(seq1.iter().all(|w| *w < 8));
-    }
-
-    #[test]
-    fn kind_display() {
-        assert_eq!(ReplacementKind::Lru.to_string(), "LRU");
-        assert_eq!(ReplacementKind::TreePlru.to_string(), "tree-PLRU");
-        assert_eq!(ReplacementKind::Random.to_string(), "random");
+    fn max_ways_ranks_do_not_overflow() {
+        let mut p = RankLru::new(1, MAX_WAYS);
+        for way in 0..MAX_WAYS {
+            p.touch(0, way);
+        }
+        assert_eq!(p.victim(0), 0);
+        // Touching the victim (rank 255) ages every other way to <= 255.
+        p.touch(0, 0);
+        assert_eq!(p.victim(0), 1);
+        assert_eq!(p.ranks[0], 0);
     }
 }

@@ -8,7 +8,7 @@
 //! table granularity — pages sharing a PL1 table share locality and walk
 //! cost) and approves insertion only above a threshold.
 
-use asap_cache::{ReplacementKind, SetAssoc};
+use asap_cache::SetAssoc;
 use asap_types::{Asid, VirtPageNum};
 
 /// Geometry and policy of the cost predictor.
@@ -49,7 +49,7 @@ struct CostEntry {
 /// use asap_contenders::{PtwCostPredictor, PtwCostPredictorConfig};
 /// use asap_types::{Asid, VirtPageNum};
 ///
-/// let mut p = PtwCostPredictor::new(PtwCostPredictorConfig::default(), 0);
+/// let mut p = PtwCostPredictor::new(PtwCostPredictorConfig::default());
 /// let vpn = VirtPageNum::new(0x4000);
 /// // No history: conservatively assume the walk is costly.
 /// assert!(p.predicts_costly(Asid(1), vpn));
@@ -74,14 +74,14 @@ impl PtwCostPredictor {
     ///
     /// Panics if the geometry does not yield a power-of-two set count.
     #[must_use]
-    pub fn new(config: PtwCostPredictorConfig, seed: u64) -> Self {
+    pub fn new(config: PtwCostPredictorConfig) -> Self {
         let num_sets = (config.entries / config.ways).max(1);
         assert!(
             num_sets.is_power_of_two(),
             "predictor set count must be a power of two"
         );
         Self {
-            table: SetAssoc::new(num_sets, config.ways, ReplacementKind::Lru, seed),
+            table: SetAssoc::new(num_sets, config.ways),
             num_sets,
             threshold: config.threshold,
         }
@@ -133,7 +133,7 @@ mod tests {
     use super::*;
 
     fn predictor() -> PtwCostPredictor {
-        PtwCostPredictor::new(PtwCostPredictorConfig::default(), 7)
+        PtwCostPredictor::new(PtwCostPredictorConfig::default())
     }
 
     #[test]

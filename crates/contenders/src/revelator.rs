@@ -42,7 +42,8 @@ pub struct RevelatorConfig {
     /// Cycles the hash unit needs to produce a speculative address. The
     /// speculative fetch issues this many cycles after walk start.
     pub hash_cycles: u64,
-    /// Deterministic seed.
+    /// The run's seed. Every structure of the engine is deterministic
+    /// (exact LRU), so no state depends on it.
     pub seed: u64,
 }
 
@@ -166,11 +167,11 @@ impl RevelatorMmu {
             pwc,
             hierarchy: _,
             hash_cycles,
-            seed,
+            seed: _,
         } = config;
         Self {
-            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric, seed),
-            pwc: PageWalkCaches::new(pwc, seed ^ 0x9C),
+            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric),
+            pwc: PageWalkCaches::new(pwc),
             hash_cycles,
             hint: None,
             served: ServedByMatrix::new(),

@@ -58,7 +58,8 @@ pub struct VictimaConfig {
     pub hierarchy: HierarchyConfig,
     /// The PTW cost predictor gating block insertion.
     pub predictor: PtwCostPredictorConfig,
-    /// Deterministic seed.
+    /// The run's seed. Every structure of the engine is deterministic
+    /// (exact LRU), so no state depends on it.
     pub seed: u64,
 }
 
@@ -166,12 +167,12 @@ impl VictimaMmu {
             pwc,
             hierarchy: _,
             predictor,
-            seed,
+            seed: _,
         } = config;
         Self {
-            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric, seed),
-            pwc: PageWalkCaches::new(pwc, seed ^ 0x9C),
-            predictor: PtwCostPredictor::new(predictor, seed ^ 0xB1),
+            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric),
+            pwc: PageWalkCaches::new(pwc),
+            predictor: PtwCostPredictor::new(predictor),
             blocks: FastMap::default(),
             served: ServedByMatrix::new(),
             stats: VictimaStats::default(),
@@ -385,13 +386,11 @@ mod tests {
                 name: "tiny S-TLB",
                 entries: 8,
                 ways: 2,
-                replacement: asap_cache::ReplacementKind::Lru,
             },
             l1_tlb: TlbConfig {
                 name: "tiny D-TLB",
                 entries: 4,
                 ways: 2,
-                replacement: asap_cache::ReplacementKind::Lru,
             },
             ..VictimaConfig::default()
         }

@@ -59,7 +59,8 @@ pub struct MmuConfig {
     pub range_registers: usize,
     /// Clustered TLB (§5.4.1), looked up after the L2 S-TLB misses.
     pub clustered_tlb: Option<ClusteredTlbConfig>,
-    /// Deterministic seed.
+    /// The run's seed. Every structure of the engine is deterministic
+    /// (exact LRU), so no state depends on it.
     pub seed: u64,
 }
 
@@ -203,7 +204,8 @@ pub struct NestedMmuConfig {
     pub asap: NestedAsapConfig,
     /// Range registers for guest VMA descriptors.
     pub range_registers: usize,
-    /// Deterministic seed.
+    /// The run's seed. Every structure of the engine is deterministic
+    /// (exact LRU), so no state depends on it.
     pub seed: u64,
 }
 

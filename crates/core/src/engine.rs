@@ -242,26 +242,16 @@ impl EngineCore {
     /// Builds a single-core engine core: TLB geometries plus a private
     /// memory fabric constructed from `hierarchy`.
     #[must_use]
-    pub fn new(
-        l1_tlb: TlbConfig,
-        l2_tlb: TlbConfig,
-        hierarchy: HierarchyConfig,
-        seed: u64,
-    ) -> Self {
-        Self::with_fabric(l1_tlb, l2_tlb, SharedFabric::new(hierarchy), seed)
+    pub fn new(l1_tlb: TlbConfig, l2_tlb: TlbConfig, hierarchy: HierarchyConfig) -> Self {
+        Self::with_fabric(l1_tlb, l2_tlb, SharedFabric::new(hierarchy))
     }
 
     /// Builds a core over an **existing** fabric handle — the multi-core
     /// path, where every core of the machine clones one [`SharedFabric`].
     #[must_use]
-    pub fn with_fabric(
-        l1_tlb: TlbConfig,
-        l2_tlb: TlbConfig,
-        fabric: SharedFabric,
-        seed: u64,
-    ) -> Self {
+    pub fn with_fabric(l1_tlb: TlbConfig, l2_tlb: TlbConfig, fabric: SharedFabric) -> Self {
         Self {
-            tlbs: TlbHierarchy::new(l1_tlb, l2_tlb, seed),
+            tlbs: TlbHierarchy::new(l1_tlb, l2_tlb),
             fabric,
             clock: 0,
             walk_stats: WalkLatencyStats::new(),
@@ -527,7 +517,6 @@ mod tests {
             TlbConfig::l1_dtlb(),
             TlbConfig::l2_stlb(),
             HierarchyConfig::broadwell_like(),
-            0,
         );
         let va = VirtAddr::new(0x4000).unwrap();
         let vpn = va.page_number();
@@ -548,13 +537,9 @@ mod tests {
     #[test]
     fn cores_share_a_fabric_but_keep_private_clocks() {
         let fabric = SharedFabric::new(HierarchyConfig::broadwell_like());
-        let mut a = EngineCore::with_fabric(
-            TlbConfig::l1_dtlb(),
-            TlbConfig::l2_stlb(),
-            fabric.clone(),
-            0,
-        );
-        let mut b = EngineCore::with_fabric(TlbConfig::l1_dtlb(), TlbConfig::l2_stlb(), fabric, 1);
+        let mut a =
+            EngineCore::with_fabric(TlbConfig::l1_dtlb(), TlbConfig::l2_stlb(), fabric.clone());
+        let mut b = EngineCore::with_fabric(TlbConfig::l1_dtlb(), TlbConfig::l2_stlb(), fabric);
         let pa = PhysAddr::new(0x4_0000);
         let first = a.data_access(pa);
         let second = b.data_access(pa);
@@ -576,7 +561,6 @@ mod tests {
             TlbConfig::l1_dtlb(),
             TlbConfig::l2_stlb(),
             HierarchyConfig::tiny_for_tests(),
-            0,
         );
         let pa = PhysAddr::new(0x9000);
         let miss = core.data_access(pa);

@@ -150,12 +150,12 @@ impl Mmu {
             asap,
             range_registers,
             clustered_tlb,
-            seed,
+            seed: _,
         } = config;
         Self {
-            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric, seed),
-            pwc: PageWalkCaches::new(pwc, seed ^ 0x9C),
-            clustered: clustered_tlb.map(|c| ClusteredTlb::new(c, seed ^ 0xC7)),
+            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric),
+            pwc: PageWalkCaches::new(pwc),
+            clustered: clustered_tlb.map(ClusteredTlb::new),
             range_regs: RangeRegisterFile::new(range_registers),
             asap,
             served: ServedByMatrix::new(),

@@ -79,12 +79,12 @@ impl NestedMmu {
             hierarchy,
             asap,
             range_registers,
-            seed,
+            seed: _,
         } = config;
         Self {
-            core: EngineCore::new(l1_tlb, l2_tlb, hierarchy, seed),
-            gpwc: PageWalkCaches::new(guest_pwc, seed ^ 0x61),
-            hpwc: PageWalkCaches::new(host_pwc, seed ^ 0x62),
+            core: EngineCore::new(l1_tlb, l2_tlb, hierarchy),
+            gpwc: PageWalkCaches::new(guest_pwc),
+            hpwc: PageWalkCaches::new(host_pwc),
             guest_regs: RangeRegisterFile::new(range_registers),
             host_desc: None,
             asap,

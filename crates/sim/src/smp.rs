@@ -83,7 +83,9 @@ fn drive<E: TranslationEngine<Machine = Process>>(
         .collect();
     let per_core = run_cores_observed(&mut slots, meta, obs.driver_mut())?;
     drop(slots);
-    let telemetry = obs.finish(&mut engines, names, meta.sim.measure_accesses);
+    // Every core runs its own measure window.
+    let measure_accesses = meta.sim.measure_accesses * engines.len() as u64;
+    let telemetry = obs.finish(&mut engines, names, measure_accesses);
     Ok((per_core, telemetry))
 }
 
@@ -258,6 +260,25 @@ mod tests {
             out.aggregate.cycles,
             out.per_core.iter().map(|c| c.cycles).max().unwrap()
         );
+    }
+
+    #[test]
+    fn multi_core_profile_counts_every_core_s_accesses() {
+        let sim = SimConfig::smoke_test();
+        let profile = RunSpec::new(small())
+            .with_cores(4)
+            .with_sim(sim)
+            .with_telemetry(asap_telemetry::TelemetryConfig {
+                trace: false,
+                metrics: false,
+                profile: true,
+            })
+            .run_split()
+            .unwrap()
+            .telemetry
+            .and_then(|t| t.profile)
+            .unwrap();
+        assert_eq!(profile.measure_accesses, 4 * sim.measure_accesses);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! walks, ASAP shortens the *long* ones.
 
 use crate::TlbStats;
-use asap_cache::{ReplacementKind, SetAssoc};
+use asap_cache::SetAssoc;
 use asap_types::{Asid, PhysFrameNum, VirtPageNum};
 
 /// Pages per cluster (Pham et al.'s "up to 8 PTEs into 1 TLB entry").
@@ -55,7 +55,7 @@ struct ClusterEntry {
 /// use asap_tlb::{ClusteredTlb, ClusteredTlbConfig, CLUSTER_PAGES};
 /// use asap_types::{Asid, PhysFrameNum, VirtPageNum};
 ///
-/// let mut ct = ClusteredTlb::new(ClusteredTlbConfig::default_eval(), 0);
+/// let mut ct = ClusteredTlb::new(ClusteredTlbConfig::default_eval());
 /// // A fully contiguous cluster: vpn 8..16 -> pfn 100..108.
 /// let pfns: Vec<Option<PhysFrameNum>> =
 ///     (0..CLUSTER_PAGES).map(|i| Some(PhysFrameNum::new(100 + i))).collect();
@@ -79,14 +79,14 @@ impl ClusteredTlb {
     ///
     /// Panics if the geometry does not yield a power-of-two set count.
     #[must_use]
-    pub fn new(config: ClusteredTlbConfig, seed: u64) -> Self {
+    pub fn new(config: ClusteredTlbConfig) -> Self {
         let num_sets = config.entries / config.ways;
         assert!(
             num_sets.is_power_of_two(),
             "set count must be a power of two"
         );
         Self {
-            array: SetAssoc::new(num_sets, config.ways, ReplacementKind::Lru, seed),
+            array: SetAssoc::new(num_sets, config.ways),
             num_sets,
             stats: TlbStats::default(),
             coalesced_fills: 0,
@@ -213,7 +213,7 @@ mod tests {
     use super::*;
 
     fn ct() -> ClusteredTlb {
-        ClusteredTlb::new(ClusteredTlbConfig::default_eval(), 0)
+        ClusteredTlb::new(ClusteredTlbConfig::default_eval())
     }
 
     fn contiguous_cluster(base: u64) -> Vec<Option<PhysFrameNum>> {

@@ -1,7 +1,5 @@
 //! TLB and page-walk-cache configurations (paper Table 5).
 
-use asap_cache::ReplacementKind;
-
 /// Geometry of one TLB structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TlbConfig {
@@ -11,8 +9,6 @@ pub struct TlbConfig {
     pub entries: usize,
     /// Associativity.
     pub ways: usize,
-    /// Replacement policy.
-    pub replacement: ReplacementKind,
 }
 
 impl TlbConfig {
@@ -23,7 +19,6 @@ impl TlbConfig {
             name: "L1 D-TLB",
             entries: 64,
             ways: 8,
-            replacement: ReplacementKind::Lru,
         }
     }
 
@@ -34,7 +29,6 @@ impl TlbConfig {
             name: "L2 S-TLB",
             entries: 1536,
             ways: 6,
-            replacement: ReplacementKind::Lru,
         }
     }
 
@@ -146,7 +140,6 @@ mod tests {
             name: "bad",
             entries: 96,
             ways: 8, // 12 sets: not a power of two
-            replacement: ReplacementKind::Lru,
         };
         let _ = c.num_sets();
     }

@@ -52,7 +52,7 @@ impl TlbLookup {
 /// use asap_tlb::{TlbEntry, TlbHierarchy, TlbLevel, TlbLookup};
 /// use asap_types::{Asid, PageSize, PhysFrameNum, VirtPageNum};
 ///
-/// let mut tlbs = TlbHierarchy::with_table5_defaults(0);
+/// let mut tlbs = TlbHierarchy::with_table5_defaults();
 /// let (asid, vpn) = (Asid(0), VirtPageNum::new(42));
 /// assert!(tlbs.lookup(asid, vpn).is_miss());
 /// tlbs.fill(asid, vpn, TlbEntry::new(PhysFrameNum::new(7), PageSize::Size4K));
@@ -70,18 +70,18 @@ pub struct TlbHierarchy {
 impl TlbHierarchy {
     /// Builds the hierarchy from explicit configs.
     #[must_use]
-    pub fn new(l1: TlbConfig, l2: TlbConfig, seed: u64) -> Self {
+    pub fn new(l1: TlbConfig, l2: TlbConfig) -> Self {
         Self {
-            l1: Tlb::new(l1, seed ^ 0x11),
-            l2: Tlb::new(l2, seed ^ 0x22),
+            l1: Tlb::new(l1),
+            l2: Tlb::new(l2),
         }
     }
 
     /// The paper's Table 5 configuration: 64-entry/8-way L1, 1536-entry/
     /// 6-way L2.
     #[must_use]
-    pub fn with_table5_defaults(seed: u64) -> Self {
-        Self::new(TlbConfig::l1_dtlb(), TlbConfig::l2_stlb(), seed)
+    pub fn with_table5_defaults() -> Self {
+        Self::new(TlbConfig::l1_dtlb(), TlbConfig::l2_stlb())
     }
 
     /// Looks up `vpn`, promoting L2 hits into L1.
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn l2_hit_promotes_to_l1() {
-        let mut h = TlbHierarchy::with_table5_defaults(0);
+        let mut h = TlbHierarchy::with_table5_defaults();
         let (asid, vpn) = (Asid(0), VirtPageNum::new(7));
         h.fill(asid, vpn, entry(1));
         // Evict from L1 only: flood its set with conflicting 4K pages.
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn miss_counts_both_levels() {
-        let mut h = TlbHierarchy::with_table5_defaults(0);
+        let mut h = TlbHierarchy::with_table5_defaults();
         assert!(h.lookup(Asid(0), VirtPageNum::new(1)).is_miss());
         assert_eq!(h.l1_stats().misses, 1);
         assert_eq!(h.l2_stats().misses, 1);
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn invalidate_hits_both_levels() {
-        let mut h = TlbHierarchy::with_table5_defaults(0);
+        let mut h = TlbHierarchy::with_table5_defaults();
         let (asid, vpn) = (Asid(3), VirtPageNum::new(55));
         h.fill(asid, vpn, entry(9));
         h.invalidate(asid, vpn);
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn flush_asid_leaves_others() {
-        let mut h = TlbHierarchy::with_table5_defaults(0);
+        let mut h = TlbHierarchy::with_table5_defaults();
         h.fill(Asid(1), VirtPageNum::new(1), entry(1));
         h.fill(Asid(2), VirtPageNum::new(2), entry(2));
         h.flush_asid(Asid(1));
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn lookup_entry_accessor() {
-        let mut h = TlbHierarchy::with_table5_defaults(0);
+        let mut h = TlbHierarchy::with_table5_defaults();
         assert_eq!(h.lookup(Asid(0), VirtPageNum::new(9)).entry(), None);
         h.fill(Asid(0), VirtPageNum::new(9), entry(4));
         assert_eq!(

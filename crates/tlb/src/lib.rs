@@ -18,7 +18,7 @@
 //! use asap_tlb::{Tlb, TlbConfig, TlbEntry};
 //! use asap_types::{Asid, PageSize, PhysFrameNum, VirtPageNum};
 //!
-//! let mut tlb = Tlb::new(TlbConfig::l1_dtlb(), 0);
+//! let mut tlb = Tlb::new(TlbConfig::l1_dtlb());
 //! let asid = Asid(1);
 //! let vpn = VirtPageNum::new(0x1234);
 //! assert!(tlb.lookup(asid, vpn).is_none());

@@ -12,7 +12,7 @@
 //! Caches" (§3.1), while PL1 is never PWC-resident and PL2 often misses.
 
 use crate::PwcConfig;
-use asap_cache::{ReplacementKind, SetAssoc};
+use asap_cache::SetAssoc;
 use asap_types::{Asid, PhysFrameNum, PtLevel, VirtAddr};
 
 /// A page-walk-cache hit: the walker may skip straight to reading the node
@@ -35,7 +35,7 @@ pub struct PwcHit {
 /// use asap_tlb::{PageWalkCaches, PwcConfig};
 /// use asap_types::{Asid, PhysFrameNum, PtLevel, VirtAddr};
 ///
-/// let mut pwc = PageWalkCaches::new(PwcConfig::split_default(), 0);
+/// let mut pwc = PageWalkCaches::new(PwcConfig::split_default());
 /// let va = VirtAddr::new(0x7f00_1234_5000).unwrap();
 /// assert!(pwc.lookup(Asid(0), va).is_none());
 /// // After a walk, the PL2 entry (pointing at the PL1 table) is cached.
@@ -62,17 +62,17 @@ pub struct PageWalkCaches {
 impl PageWalkCaches {
     /// Creates empty PWCs with the given geometry.
     #[must_use]
-    pub fn new(config: PwcConfig, seed: u64) -> Self {
+    pub fn new(config: PwcConfig) -> Self {
         let pl2_sets = (config.pl2_entries / config.pl2_ways).max(1);
         assert!(
             pl2_sets.is_power_of_two(),
             "PL2 PWC set count must be a power of two"
         );
         Self {
-            pl2: SetAssoc::new(pl2_sets, config.pl2_ways, ReplacementKind::Lru, seed ^ 2),
+            pl2: SetAssoc::new(pl2_sets, config.pl2_ways),
             pl2_sets,
-            pl3: SetAssoc::new(1, config.pl3_entries, ReplacementKind::Lru, seed ^ 3),
-            pl4: SetAssoc::new(1, config.pl4_entries, ReplacementKind::Lru, seed ^ 4),
+            pl3: SetAssoc::new(1, config.pl3_entries),
+            pl4: SetAssoc::new(1, config.pl4_entries),
             latency: config.latency,
             lookups: 0,
             hits_per_level: [0; 3],
@@ -189,7 +189,7 @@ mod tests {
     use super::*;
 
     fn pwc() -> PageWalkCaches {
-        PageWalkCaches::new(PwcConfig::split_default(), 0)
+        PageWalkCaches::new(PwcConfig::split_default())
     }
 
     fn va(raw: u64) -> VirtAddr {

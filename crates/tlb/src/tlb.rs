@@ -44,10 +44,10 @@ pub struct Tlb {
 impl Tlb {
     /// Creates an empty TLB.
     #[must_use]
-    pub fn new(config: TlbConfig, seed: u64) -> Self {
+    pub fn new(config: TlbConfig) -> Self {
         let num_sets = config.num_sets();
         Self {
-            array: SetAssoc::new(num_sets, config.ways, config.replacement, seed),
+            array: SetAssoc::new(num_sets, config.ways),
             num_sets,
             stats: TlbStats::default(),
         }
@@ -174,7 +174,7 @@ mod tests {
     use super::*;
 
     fn tlb() -> Tlb {
-        Tlb::new(TlbConfig::l1_dtlb(), 0)
+        Tlb::new(TlbConfig::l1_dtlb())
     }
 
     #[test]

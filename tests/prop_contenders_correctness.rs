@@ -80,13 +80,11 @@ proptest! {
                 name: "tiny S-TLB",
                 entries: 8,
                 ways: 2,
-                replacement: asap::cache::ReplacementKind::Lru,
             },
             l1_tlb: asap::tlb::TlbConfig {
                 name: "tiny D-TLB",
                 entries: 4,
                 ways: 2,
-                replacement: asap::cache::ReplacementKind::Lru,
             },
             ..VictimaConfig::default()
         }
