@@ -162,6 +162,21 @@ run cargo build --release
 # it here makes a crate API change that breaks the benchmark fail CI.
 run env CARGO_TARGET_DIR=.bench_build \
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# perfbench/src/assemble.rs mirrors RunSpec::run_split's machine assembly
+# from public constructors, and every traced run compares its rows with
+# run_split's byte for byte (a mismatch prints TRACED RUN DIVERGED and
+# fails the run). A one-second traced run per workload makes an assembly
+# change that breaks the mirror fail here rather than in the benchmark.
+for w in native_1c coloc_smt virt_2d smp_64c; do
+    echo
+    echo "==> python3 perfbench/run.py --workload $w --seconds 1 --trace 1"
+    if ! last="$(python3 perfbench/run.py --workload "$w" --seconds 1 --trace 1 | tail -n 1)" \
+        || ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last"; then
+        echo "perfbench mirror gate FAILED on $w: ${last:-no result line}"
+        exit 1
+    fi
+    echo "$last" | cut -c1-80
+done
 run cargo test -q
 run cargo doc --no-deps --quiet
 lint_gate

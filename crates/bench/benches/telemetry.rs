@@ -11,7 +11,7 @@
 use asap_cache::{CacheHierarchy, HierarchyConfig};
 use asap_core::{Mmu, MmuConfig, TranslationEngine};
 use asap_os::AsapOsConfig;
-use asap_sim::{run_scenario, run_scenario_observed, RunMeta, SimConfig};
+use asap_sim::{run_cores_observed, run_scenario, CoreSlot, RunMeta, SimConfig};
 use asap_telemetry::TraceSink;
 use asap_types::{Asid, ByteSize, CacheLineAddr};
 use asap_workloads::WorkloadSpec;
@@ -81,8 +81,14 @@ fn enabled_path(c: &mut Criterion) {
         b.iter(|| {
             mmu.set_tracer(TraceSink::default());
             let mut stream = w.build_stream(&process, sim.seed ^ 0x11);
-            let r = run_scenario_observed(&mut mmu, &mut process, stream.as_mut(), &meta, None)
-                .unwrap();
+            let mut slots = [CoreSlot {
+                engine: &mut mmu,
+                machine: &mut process,
+                stream: stream.as_mut(),
+                workload: meta.workload.clone(),
+                corunner: None,
+            }];
+            let r = run_cores_observed(&mut slots, &meta, None).unwrap();
             black_box(mmu.take_tracer());
             r
         })

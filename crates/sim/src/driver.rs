@@ -17,9 +17,13 @@
 //! boundary. With one core the loop degenerates into exactly the classic
 //! single-core driver, which is what pins the engine-parity goldens.
 //!
-//! [`run_scenario`] is the single-core entry point the machine-assembly
-//! modules call; `run_native`, `run_virt` and `run_contender` are thin
-//! wrappers that assemble one core, and `smp.rs` assembles N.
+//! The machine assemblies live beside it: `native.rs` builds 1..=64
+//! cores of any native backend over one fabric, `virt.rs` builds the
+//! one-core virtualized machine, and both hand their cores to
+//! [`run_cores_observed`] through one shared `drive` tail, which also
+//! installs the single-core SMT co-runner shim ([`CoreSlot::corunner`]).
+//! [`run_scenario`] is the one-core entry point for hand-assembled
+//! engines.
 //!
 //! A misconfigured scenario — a workload stream escaping its VMAs, a
 //! machine that cannot translate a touched page — surfaces as a typed
@@ -164,9 +168,11 @@ pub struct RunMeta {
     pub label: String,
     /// Window sizes and seeding.
     pub sim: SimConfig,
-    /// Whether the legacy single-core SMT co-runner shim is active (see
-    /// [`run_scenario`]). Multi-core colocation runs the co-runner as a
-    /// real core instead and ignores this flag.
+    /// Whether the spec is colocated. On a one-core machine this installs
+    /// the legacy SMT co-runner shim ([`CoreSlot::corunner`]): the machine
+    /// assemblies and [`run_scenario`] read it. [`run_cores`] itself
+    /// ignores it — multi-core colocation runs the co-runner as a real
+    /// core.
     pub colocated: bool,
     /// Table 6 methodology: translation is free ("no page walks"); the
     /// engine still serves data accesses and the clock still advances.
@@ -189,9 +195,20 @@ pub struct CoreSlot<'a, E: TranslationEngine> {
     /// cache lines per reference instead of executing as a real core. Kept
     /// **only** because the committed engine-parity goldens and the
     /// smoke-tier `BENCH_results.json` pin the single-core `coloc` rows to
-    /// this injection model; multi-core runs model the neighbor as an
-    /// ordinary workload on its own core and leave this `None`.
+    /// this injection model. The machine assemblies' shared `drive` tail
+    /// and [`run_scenario`] install it (from [`RunMeta::colocated`]) on a
+    /// colocated one-core machine; multi-core runs model the neighbor as
+    /// an ordinary workload on its own core and leave this `None`.
     pub corunner: Option<CoRunner>,
+}
+
+impl RunMeta {
+    /// The legacy SMT co-runner shim a colocated one-core machine carries
+    /// (see [`CoreSlot::corunner`]); `None` in isolation.
+    pub(crate) fn smt_shim(&self) -> Option<CoRunner> {
+        self.colocated
+            .then(|| CoRunner::memory_intensive(self.sim.seed ^ 0xC0))
+    }
 }
 
 /// Observation hooks for one driver invocation: the scheduler's
@@ -461,15 +478,13 @@ fn step_core<E: TranslationEngine>(
     Ok(())
 }
 
-/// Runs one **single-core** scenario over any translation engine — the
-/// entry point the native/virt/contender machine assemblies use, and a
-/// one-core special case of [`run_cores`].
+/// Runs one **single-core** scenario over any translation engine — a
+/// one-core special case of [`run_cores`] for callers that assemble an
+/// engine by hand (the criterion benches, external harnesses).
 ///
-/// When `meta.colocated` is set, the SMT co-runner runs through the legacy
-/// out-of-band line-injection shim (see [`CoreSlot::corunner`]): the
-/// engine-parity goldens and the committed smoke rows pin that model for
-/// single-core runs. Multi-core colocation instead schedules the
-/// co-runner as a real core (see `smp.rs`).
+/// When `meta.colocated` is set, the core carries the legacy SMT
+/// co-runner shim (see [`CoreSlot::corunner`]), exactly as the native and
+/// virtualized assemblies install it on a colocated one-core machine.
 ///
 /// # Errors
 ///
@@ -482,34 +497,18 @@ pub fn run_scenario<E: TranslationEngine>(
     stream: &mut dyn AccessStream,
     meta: &RunMeta,
 ) -> Result<RunResult, DriverError> {
-    run_scenario_observed(engine, machine, stream, meta, None)
-}
-
-/// [`run_scenario`] with observation hooks (see [`run_cores_observed`]).
-///
-/// # Errors
-///
-/// Same contract as [`run_scenario`].
-pub fn run_scenario_observed<E: TranslationEngine>(
-    engine: &mut E,
-    machine: &mut E::Machine,
-    stream: &mut dyn AccessStream,
-    meta: &RunMeta,
-    obs: Option<&mut DriverObserver>,
-) -> Result<RunResult, DriverError> {
-    let corunner = meta
-        .colocated
-        .then(|| CoRunner::memory_intensive(meta.sim.seed ^ 0xC0));
     let mut slots = [CoreSlot {
         engine,
         machine,
         stream,
         workload: meta.workload.clone(),
-        corunner,
+        corunner: meta.smt_shim(),
     }];
-    Ok(run_cores_observed(&mut slots, meta, obs)?
+    run_cores(&mut slots, meta)?
         .pop()
-        .expect("one core in, one result out"))
+        .ok_or(DriverError::incompatible_spec(
+            "a one-core machine yields one result",
+        ))
 }
 
 #[cfg(test)]

@@ -8,8 +8,12 @@
 //! * [`RunSpec`] — the ONE unified run specification: `workload ×`
 //!   [`EngineSelect`] `×` [`MachineSelect`] `× cores × knobs`, executed
 //!   with [`RunSpec::run`] / [`RunSpec::run_split`] (machine assembly is
-//!   internal dispatch; `cores > 1` builds N engines over one shared
-//!   memory fabric and returns per-core plus aggregate rows);
+//!   internal dispatch on the machine axis: one native assembly builds
+//!   1..=64 engines of any native backend over one shared memory fabric
+//!   and returns per-core plus aggregate rows at `cores > 1`; the
+//!   virtualized assembly builds one nested engine; both install the
+//!   single-core SMT co-runner shim, [`CoreSlot::corunner`], on a
+//!   colocated one-core machine);
 //! * [`run_cores`] / [`run_scenario`] — the one generic cycle-interleaved
 //!   driver loop, over any [`asap_core::TranslationEngine`];
 //! * [`scenarios`] — the declarative registry naming every paper
@@ -41,7 +45,6 @@
 mod cache;
 mod codec;
 mod config;
-mod contender;
 mod cycles;
 mod driver;
 mod json;
@@ -52,7 +55,6 @@ mod report;
 mod result;
 pub mod scenarios;
 pub mod sched;
-mod smp;
 mod virt;
 
 pub use asap_store::{CacheHandle, CacheKey, CacheStats, CostProfile};
@@ -62,8 +64,8 @@ pub use codec::{decode_payload, encode_payload, result_from_json, result_to_json
 pub use config::{EngineSelect, MachineSelect, RunSpec, SimConfig, MAX_CORES, MAX_NUMA_NODES};
 pub use cycles::{CPU_WORK_CYCLES_PER_ACCESS, INSTRUCTIONS_PER_ACCESS};
 pub use driver::{
-    run_cores, run_cores_observed, run_scenario, run_scenario_observed, CoreSlot, DriverError,
-    DriverErrorKind, DriverObserver, RunMeta,
+    run_cores, run_cores_observed, run_scenario, CoreSlot, DriverError, DriverErrorKind,
+    DriverObserver, RunMeta,
 };
 pub use json::{results_to_json, BenchDoc, BenchError, BenchRun, BenchScenario, JsonParseError};
 pub use parallel::{parallel_map, parallel_map_prioritized};

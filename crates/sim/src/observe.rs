@@ -2,8 +2,9 @@
 //! spanning the machine-assembly (setup), drive (warmup + measure) and
 //! harvest (flush) phases.
 //!
-//! The observer is deliberately phase-shaped so every machine assembly —
-//! native, virtualized, contender, SMP — follows the same four calls:
+//! The observer is deliberately phase-shaped so both machine assemblies —
+//! native (any core count, any backend) and virtualized — follow the same
+//! four calls:
 //! [`RunObserver::begin`] before building anything, [`RunObserver::arm`]
 //! once the engines exist (installs per-core trace sinks and starts the
 //! driver observer), the driver itself via [`RunObserver::driver_mut`],

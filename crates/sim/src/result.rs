@@ -130,19 +130,18 @@ impl RunOutput {
     /// that derived `walk_fraction` on the aggregate therefore measures
     /// walker-busy *core*-cycles per machine wall cycle — a concurrency
     /// number that legitimately exceeds 1 when several walkers overlap.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty `per_core` slice (a harness bug).
+    /// The label is the first core's (empty for an empty `per_core`).
     #[must_use]
     pub fn aggregate_of(workload: &str, per_core: Vec<RunResult>) -> Self {
-        let first = per_core.first().expect("at least one core");
         let mut walks = asap_core::WalkLatencyStats::new();
         let mut served = asap_core::ServedByMatrix::new();
         let mut host_served: Option<asap_core::ServedByMatrix> = None;
         let mut aggregate = RunResult {
             workload: workload.to_string(),
-            label: first.label.clone(),
+            label: per_core
+                .first()
+                .map(|core| core.label.clone())
+                .unwrap_or_default(),
             walks: asap_core::WalkLatencyStats::new(),
             served,
             host_served: None,
@@ -235,5 +234,10 @@ mod tests {
 
         let single = RunOutput::single(result(5, 50));
         assert!(single.per_core.is_empty());
+
+        let empty = RunOutput::aggregate_of("w", Vec::new());
+        assert_eq!(empty.aggregate.label, "");
+        assert_eq!(empty.aggregate.walks.count(), 0);
+        assert_eq!(empty.aggregate.cycles, 0);
     }
 }

@@ -197,7 +197,7 @@ pub fn parse(text: &str) -> Result<Vec<ChromeEvent>, ParseError> {
         bytes: text.as_bytes(),
         pos: 0,
     };
-    p.expect("{\"traceEvents\": [\n")?;
+    p.expect_str("{\"traceEvents\": [\n")?;
     let mut events = Vec::new();
     if !p.peek("]}") {
         loop {
@@ -205,11 +205,11 @@ pub fn parse(text: &str) -> Result<Vec<ChromeEvent>, ParseError> {
             if p.eat(",\n") {
                 continue;
             }
-            p.expect("\n")?;
+            p.expect_str("\n")?;
             break;
         }
     }
-    p.expect("]}\n")?;
+    p.expect_str("]}\n")?;
     if p.pos != p.bytes.len() {
         return Err(p.err("end of document"));
     }
@@ -242,7 +242,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, s: &'static str) -> Result<(), ParseError> {
+    fn expect_str(&mut self, s: &'static str) -> Result<(), ParseError> {
         if self.eat(s) {
             Ok(())
         } else {
@@ -266,7 +266,7 @@ impl<'a> Parser<'a> {
 
     /// A quoted string, unescaping what [`escape`] produces.
     fn string(&mut self) -> Result<String, ParseError> {
-        self.expect("\"")?;
+        self.expect_str("\"")?;
         let mut out = String::new();
         loop {
             match self.bytes.get(self.pos) {
@@ -318,7 +318,7 @@ impl<'a> Parser<'a> {
     }
 
     fn event(&mut self) -> Result<ChromeEvent, ParseError> {
-        self.expect("{\"ph\":\"")?;
+        self.expect_str("{\"ph\":\"")?;
         let ph = if self.eat("M") {
             Ph::Meta
         } else if self.eat("X") {
@@ -328,34 +328,34 @@ impl<'a> Parser<'a> {
         } else {
             return Err(self.err("phase M, X or i"));
         };
-        self.expect("\",\"pid\":")?;
+        self.expect_str("\",\"pid\":")?;
         let pid = self.num()? as u32;
-        self.expect(",\"tid\":")?;
+        self.expect_str(",\"tid\":")?;
         let tid = self.num()? as u32;
         let mut ts = None;
         let mut dur = None;
         match ph {
             Ph::Meta => {}
             Ph::Complete => {
-                self.expect(",\"ts\":")?;
+                self.expect_str(",\"ts\":")?;
                 ts = Some(self.num()?);
-                self.expect(",\"dur\":")?;
+                self.expect_str(",\"dur\":")?;
                 dur = Some(self.num()?);
             }
             Ph::Instant => {
-                self.expect(",\"ts\":")?;
+                self.expect_str(",\"ts\":")?;
                 ts = Some(self.num()?);
-                self.expect(",\"s\":\"t\"")?;
+                self.expect_str(",\"s\":\"t\"")?;
             }
         }
-        self.expect(",\"name\":")?;
+        self.expect_str(",\"name\":")?;
         let name = self.string()?;
-        self.expect(",\"args\":{")?;
+        self.expect_str(",\"args\":{")?;
         let mut args = Vec::new();
         if !self.eat("}") {
             loop {
                 let key = self.string()?;
-                self.expect(":")?;
+                self.expect_str(":")?;
                 let value = if self.peek("\"") {
                     ArgValue::Str(self.string()?)
                 } else {
@@ -365,11 +365,11 @@ impl<'a> Parser<'a> {
                 if self.eat(",") {
                     continue;
                 }
-                self.expect("}")?;
+                self.expect_str("}")?;
                 break;
             }
         }
-        self.expect("}")?;
+        self.expect_str("}")?;
         Ok(ChromeEvent {
             ph,
             pid,
