@@ -167,15 +167,33 @@ run env CARGO_TARGET_DIR=.bench_build \
 # run_split's byte for byte (a mismatch prints TRACED RUN DIVERGED and
 # fails the run). A one-second traced run per workload makes an assembly
 # change that breaks the mirror fail here rather than in the benchmark.
+#
+# The same run pins the simulation itself: the `rows ... digest=` line
+# hashes every spec's result rows at the default seed 42, and must equal
+# the digest recorded below. A host-speed change keeps these digests; a
+# deliberate SIM_SEMVER bump updates them in its own commit.
+declare -A perfbench_digest=(
+    [native_1c]=aa71c7dbba2a5940
+    [coloc_smt]=5acdf8531001c42c
+    [virt_2d]=2cd82e1d22d0ae32
+    [smp_64c]=c8585429a31efe6f
+)
 for w in native_1c coloc_smt virt_2d smp_64c; do
     echo
     echo "==> python3 perfbench/run.py --workload $w --seconds 1 --trace 1"
-    if ! last="$(python3 perfbench/run.py --workload "$w" --seconds 1 --trace 1 | tail -n 1)" \
+    if ! out="$(python3 perfbench/run.py --workload "$w" --seconds 1 --trace 1)" \
+        || ! last="$(echo "$out" | tail -n 1)" \
         || ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last"; then
         echo "perfbench mirror gate FAILED on $w: ${last:-no result line}"
         exit 1
     fi
     echo "$last" | cut -c1-80
+    rows="$(echo "$out" | grep '^rows ' || true)"
+    echo "$rows"
+    if [[ "$rows" != *" digest=${perfbench_digest[$w]}" ]]; then
+        echo "perfbench digest gate FAILED on $w: expected digest=${perfbench_digest[$w]}"
+        exit 1
+    fi
 done
 run cargo test -q
 run cargo doc --no-deps --quiet

@@ -166,6 +166,85 @@ fn page_walk(c: &mut Criterion) {
     g.finish();
 }
 
+/// Demand paging: one `Process::touch` of a page the process has not
+/// faulted yet, the OS half of every first access in a measure window.
+fn demand_fault(c: &mut Criterion) {
+    use asap_os::{AsapOsConfig, Process, VmaKind};
+    use asap_types::ByteSize;
+    use asap_workloads::WorkloadSpec;
+
+    /// Deterministic Fisher-Yates shuffle (xorshift64), so faults do not
+    /// walk the heap in address order.
+    fn shuffled(mut v: Vec<VirtAddr>, mut x: u64) -> Vec<VirtAddr> {
+        for i in (1..v.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            v.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        v
+    }
+
+    /// A fresh baseline process of `spec` plus a shuffled pool of heap pages
+    /// it has not faulted. `dense`: the first page of every 2 MiB region is
+    /// faulted up front, so every PL1 node exists and the pool is all the
+    /// other pages. Otherwise the pool is one page per 2 MiB region, so
+    /// nearly every fault creates a PL1 node.
+    fn fresh(spec: &WorkloadSpec, dense: bool) -> (Process, Vec<VirtAddr>) {
+        let mut p = spec.build_process(Asid(1), AsapOsConfig::disabled(), 7);
+        let heap = *p.vma_of_kind(VmaKind::Heap).expect("layout has a heap");
+        let pages = heap.len() >> 12;
+        let page = |i: u64| VirtAddr::new(heap.start().raw() + (i << 12)).unwrap();
+        let pool = if dense {
+            for i in (0..pages).step_by(512) {
+                p.touch(page(i)).unwrap();
+            }
+            (0..pages).filter(|i| i % 512 != 0).map(page).collect()
+        } else {
+            (0..pages)
+                .step_by(512)
+                .map(|i| page(i + (i >> 9) * 0x9e37 % 512))
+                .collect()
+        };
+        (p, shuffled(pool, 0x2545_f491_4f6c_dd1d))
+    }
+
+    let mut g = c.benchmark_group("components/os/demand_fault");
+    // Fault cost swings with host memory traffic; more samples steady the
+    // median.
+    g.sample_size(60);
+    // mcf's 1.7 GB heap: ~434k faults per process under existing PL1
+    // nodes. redis-shaped, scaled to a 400 GB heap so one process holds
+    // ~205k node-creating faults. An exhausted pool is replaced by a fresh
+    // process inside the timed loop, amortised over the whole pool.
+    let cases = [
+        ("dense_mcf", WorkloadSpec::mcf(), true),
+        (
+            "sparse_redis",
+            WorkloadSpec {
+                footprint: ByteSize::gib(400),
+                ..WorkloadSpec::redis()
+            },
+            false,
+        ),
+    ];
+    for (name, spec, dense) in cases {
+        let (mut process, mut pool) = fresh(&spec, dense);
+        let mut next = 0;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                if next == pool.len() {
+                    (process, pool) = fresh(&spec, dense);
+                    next = 0;
+                }
+                next += 1;
+                process.touch(pool[next - 1])
+            })
+        });
+    }
+    g.finish();
+}
+
 fn driver_loop(c: &mut Criterion) {
     use asap_core::{Mmu, MmuConfig, TranslationEngine};
     use asap_os::AsapOsConfig;
@@ -330,6 +409,7 @@ criterion_group!(
     arbitration_scaling,
     tlb_lookup,
     page_walk,
+    demand_fault,
     driver_loop,
     allocators,
     contender_hot_paths,

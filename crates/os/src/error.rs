@@ -1,5 +1,6 @@
 //! OS-model errors.
 
+use asap_pt::PtError;
 use asap_types::VirtAddr;
 
 /// Errors from address-space and paging operations.
@@ -17,6 +18,9 @@ pub enum OsError {
     Segfault(VirtAddr),
     /// Physical memory was exhausted.
     OutOfMemory,
+    /// A page-table update failed (e.g. a fault mapping an already-mapped
+    /// page).
+    PageTable(PtError),
 }
 
 impl core::fmt::Display for OsError {
@@ -28,11 +32,18 @@ impl core::fmt::Display for OsError {
             OsError::UnknownVma => f.write_str("no such VMA"),
             OsError::Segfault(va) => write!(f, "access to unmapped address {va}"),
             OsError::OutOfMemory => f.write_str("physical memory exhausted"),
+            OsError::PageTable(e) => write!(f, "page-table update failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for OsError {}
+
+impl From<PtError> for OsError {
+    fn from(e: PtError) -> Self {
+        OsError::PageTable(e)
+    }
+}
 
 impl From<asap_alloc::AllocError> for OsError {
     fn from(_: asap_alloc::AllocError) -> Self {
@@ -49,6 +60,14 @@ mod tests {
         assert!(OsError::Overlap.to_string().contains("overlaps"));
         let va = VirtAddr::new(0x1234000).unwrap();
         assert!(OsError::Segfault(va).to_string().contains("unmapped"));
+    }
+
+    #[test]
+    fn pt_error_converts() {
+        let va = VirtAddr::new(0x5000).unwrap();
+        let e: OsError = PtError::AlreadyMapped(va).into();
+        assert_eq!(e, OsError::PageTable(PtError::AlreadyMapped(va)));
+        assert!(e.to_string().contains("already mapped"));
     }
 
     #[test]

@@ -138,15 +138,16 @@ pub struct Process {
     mem: SimPhysMem,
     vmas: VmaTree,
     pt: PageTable,
-    /// Derived flat index over `pt` (re-synced after every map); the radix
-    /// table in `mem` stays the ground truth.
+    /// Derived flat index over `pt`; faults map through it into `mem` and
+    /// the index together. The radix table in `mem` stays the ground truth.
     flat: FlatMirror,
     reservations: ReservationSet,
     scatter: ScatterAllocator,
     data_layout: DataPageLayout,
     asap: AsapOsConfig,
-    /// Per-VMA base into the process-relative data-page index space.
-    data_index_base: Vec<(VmaId, u64)>,
+    /// Per-VMA base into the process-relative data-page index space,
+    /// indexed by [`VmaId`] (the tree numbers its VMAs densely from 0).
+    data_index_base: Vec<u64>,
     next_data_index: u64,
     descriptors: Vec<VmaDescriptor>,
     faults: u64,
@@ -185,11 +186,13 @@ impl Process {
         let flat = FlatMirror::new(&pt);
 
         let mut reservations = ReservationSet::new(phys);
-        let mut data_index_base = Vec::with_capacity(ids.len());
+        let mut data_index_base = vec![0; ids.len()];
         let mut next_data_index = 0u64;
         for id in &ids {
-            let vma = *vmas.get(*id).expect("freshly inserted");
-            data_index_base.push((*id, next_data_index));
+            let Some(&vma) = vmas.get(*id) else { continue };
+            if let Some(base) = data_index_base.get_mut(id.0 as usize) {
+                *base = next_data_index;
+            }
             next_data_index = (next_data_index + vma.pages() + 7) & !7;
             if config.asap.is_enabled() {
                 for &level in &config.asap.levels {
@@ -252,21 +255,20 @@ impl Process {
     }
 
     /// The process-relative data-page index for `va` (dense across VMAs).
-    fn data_index(&self, vma: &Vma, va: VirtAddr) -> u64 {
+    fn data_index(&self, vma: &Vma, va: VirtAddr) -> Result<u64, OsError> {
         let base = self
             .data_index_base
-            .iter()
-            .find(|(id, _)| *id == vma.id())
-            .map(|(_, b)| *b)
-            .expect("every VMA has an index window");
-        base + (va.raw() - vma.start().raw()) / asap_types::PAGE_SIZE
+            .get(vma.id().0 as usize)
+            .ok_or(OsError::UnknownVma)?;
+        Ok(base + (va.raw() - vma.start().raw()) / asap_types::PAGE_SIZE)
     }
 
     /// Touches `va`: demand-faults the page in if needed.
     ///
     /// # Errors
     ///
-    /// [`OsError::Segfault`] if `va` lies outside every VMA.
+    /// [`OsError::Segfault`] if `va` lies outside every VMA;
+    /// [`OsError::PageTable`] if the fault's page-table update fails.
     pub fn touch(&mut self, va: VirtAddr) -> Result<TouchOutcome, OsError> {
         if self.flat.is_mapped(va) {
             return Ok(TouchOutcome::AlreadyMapped);
@@ -274,7 +276,7 @@ impl Process {
         let vma = *self.vmas.find(va).ok_or(OsError::Segfault(va))?;
         let frame = self
             .data_layout
-            .frame_for(VirtPageNum::new(self.data_index(&vma, va)));
+            .frame_for(VirtPageNum::new(self.data_index(&vma, va)?));
         let phys = self.phys;
         let mut rebased = RebasedScatter {
             inner: &mut self.scatter,
@@ -286,17 +288,14 @@ impl Process {
             scatter: &mut rebased,
             asap_levels: &self.asap.levels,
         };
-        self.pt
-            .map(
-                &mut self.mem,
-                &mut placer,
-                va.page_base(),
-                frame,
-                PageSize::Size4K,
-                PteFlags::user_data(),
-            )
-            .expect("fault on unmapped page cannot double-map");
-        self.flat.sync_va(&self.mem, &self.pt, va.page_base());
+        self.flat.map(
+            &mut self.mem,
+            &mut placer,
+            va.page_base(),
+            frame,
+            PageSize::Size4K,
+            PteFlags::user_data(),
+        )?;
         self.faults += 1;
         Ok(TouchOutcome::Faulted)
     }
@@ -366,10 +365,9 @@ impl Process {
     /// must verify every guess against the page table before use.
     #[must_use]
     pub fn speculation_hint(&self) -> crate::SpeculationHint {
-        let pairs: Vec<(Vma, u64)> = self
-            .data_index_base
-            .iter()
-            .filter_map(|(id, base)| self.vmas.get(*id).map(|vma| (*vma, *base)))
+        let pairs: Vec<(Vma, u64)> = (0u32..)
+            .zip(&self.data_index_base)
+            .filter_map(|(id, base)| self.vmas.get(VmaId(id)).map(|vma| (*vma, *base)))
             .collect();
         crate::SpeculationHint::new(crate::speculation::windows_for(&pairs), self.data_layout)
     }

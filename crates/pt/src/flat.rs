@@ -9,16 +9,21 @@
 //! carries the arena index of its child, so a descent is four (or five)
 //! array reads with no hashing and no allocation.
 //!
-//! The mirror is kept coherent by re-syncing the affected virtual path after
-//! every radix mutation ([`FlatMirror::sync_va`]) or by a full
-//! [`FlatMirror::rebuild`]. Equivalence with the radix walker is pinned
-//! property-style in `tests/prop_flat_walk_equivalence.rs`; the timing model
+//! Demand faults go through [`FlatMirror::map`], which writes the new leaf
+//! (and any missing intermediate node) into the radix table and the mirror
+//! in one descent that follows the mirror's child slots, so faulting a page
+//! under an existing node chain costs one hash-keyed radix write. Other
+//! radix mutations re-sync the affected virtual path
+//! ([`FlatMirror::sync_va`]) or rebuild wholesale ([`FlatMirror::rebuild`]).
+//! Equivalence with the radix walker, and of `map` with
+//! [`PageTable::map`] + `sync_va`, is pinned property-style in
+//! `tests/prop_flat_walk_equivalence.rs`; the timing model
 //! consumes either through the [`WalkSource`] seam, so the walk *trace* —
 //! every entry address the hardware would touch — is identical by
 //! construction (node physical frames are stored in the arena).
 
 use crate::walker::{FixedWalk, WalkOutcome, WalkStep, Walker};
-use crate::{PageTable, Pte, SimPhysMem, Translation};
+use crate::{PageTable, PtError, PtNodeAllocator, Pte, PteFlags, SimPhysMem, Translation};
 use asap_types::FastMap;
 use asap_types::{PageSize, PagingMode, PhysFrameNum, PtLevel, VirtAddr, PTE_SIZE};
 
@@ -188,14 +193,18 @@ impl FlatNode {
     }
 }
 
-/// 4-KiB pages per residency chunk: 2^15 pages = 128 MiB of VA per chunk.
+/// 4-KiB pages per residency chunk: 2^9 pages = 2 MiB of VA per chunk, the
+/// span of one PL1 node.
 ///
-/// Small enough that a freshly touched region (the EPT scatters host PT
-/// nodes across a huge guest-physical range, so nearly every PT-node page
-/// opens a new chunk) costs a 4 KiB zeroed allocation, not a 32 KiB one;
-/// large enough that a dense 32 GiB heap still needs only 256 chunks.
-const CHUNK_PAGE_BITS: u32 = 15;
-/// Words per chunk bitmap (4 KiB).
+/// Sized for the sparsest user: the EPT's fault-ins land on guest-physical
+/// pages (scattered guest PT nodes and data frames) spread over terabytes,
+/// so about a third of them open a new chunk. A chunk of 2 MiB is one
+/// 64-byte bitmap stored inline in the chunk map, so opening a region
+/// allocates nothing beyond the map's own amortised growth; a chunk big
+/// enough to need its own zeroed allocation (128 MiB: 4 KiB of bitmap)
+/// makes that allocation the largest single cost of a nested fault.
+const CHUNK_PAGE_BITS: u32 = 9;
+/// Words per chunk bitmap (64 bytes).
 const CHUNK_WORDS: usize = 1 << (CHUNK_PAGE_BITS - 6);
 /// Page-index mask within a chunk.
 const CHUNK_PAGE_MASK: u64 = (1 << CHUNK_PAGE_BITS) - 1;
@@ -203,20 +212,16 @@ const CHUNK_PAGE_MASK: u64 = (1 << CHUNK_PAGE_BITS) - 1;
 /// A chunked bitmap of mapped 4-KiB pages.
 ///
 /// The per-access residency check ("is this VA already demand-paged?") is
-/// the single hottest query in the simulator; even one hash probe into a
-/// multi-megabyte leaf map is a DRAM miss per access. A process only ever
-/// touches a bounded set of VA regions, so this keeps one small bitmap per
-/// touched region behind a small (cache-hot) chunk map: a test is one
-/// small-map probe plus one bit test in a cache-resident bitmap. Chunks are
-/// heap-allocated zeroed (`vec![0; ..]` takes the calloc path) so opening a
-/// region never pays a stack-zero-and-copy of the whole bitmap.
+/// the single hottest query in the simulator: one probe of the chunk map,
+/// whose slot holds the chunk's bitmap inline, then one bit test in the
+/// same slot — no leaf-map or arena traffic.
 ///
 /// Ranges recorded here are always page-size aligned (4 KiB / 2 MiB /
 /// 1 GiB leaves, or whole entry spans for holes), so a sub-chunk range
 /// never straddles a chunk boundary.
 #[derive(Debug, Clone, Default)]
 struct ResidencyMap {
-    chunks: FastMap<u64, Box<[u64]>>,
+    chunks: FastMap<u64, [u64; CHUNK_WORDS]>,
 }
 
 impl ResidencyMap {
@@ -241,7 +246,7 @@ impl ResidencyMap {
             let chunk = self
                 .chunks
                 .entry(page >> CHUNK_PAGE_BITS)
-                .or_insert_with(|| vec![0u64; CHUNK_WORDS].into_boxed_slice());
+                .or_insert([0; CHUNK_WORDS]);
             let bit = (page & CHUNK_PAGE_MASK) as usize;
             let n = (end - page).min((1 << CHUNK_PAGE_BITS) - bit as u64) as usize;
             if bit % 64 == 0 && n % 64 == 0 {
@@ -283,18 +288,20 @@ impl ResidencyMap {
 ///
 /// # Invariant
 ///
-/// After every radix `map`/`unmap` the caller re-syncs the touched virtual
-/// path with [`FlatMirror::sync_va`] (or rebuilds wholesale). The mirror
-/// never accepts writes of its own — it is an index, not a second table.
+/// Every radix mutation keeps the mirror coherent: faults map through
+/// [`FlatMirror::map`], which writes both together; any other `map`/`unmap`
+/// on the radix table is followed by [`FlatMirror::sync_va`] of the touched
+/// virtual path (or a wholesale rebuild). The mirror never holds an entry
+/// the radix table lacks — it is an index, not a second table.
 #[derive(Debug, Clone)]
 pub struct FlatMirror {
     mode: PagingMode,
     nodes: Vec<FlatNode>,
-    /// Table frame → arena slot, used only while syncing (never on the
-    /// translate/walk path).
+    /// Table frame → arena slot, used only while syncing or linking a new
+    /// node (never on the translate/walk path).
     slots: FastMap<u64, u32>,
     /// Bitmap of mapped 4-KiB pages — the [`FlatMirror::is_mapped`] fast
-    /// path. Maintained by the terminal branch of `sync_va` and by
+    /// path. Maintained by `map`, the terminal branch of `sync_va` and
     /// `rebuild`, exactly mirroring leaf presence in the radix table.
     resident: ResidencyMap,
 }
@@ -354,6 +361,98 @@ impl FlatMirror {
         self.nodes.push(FlatNode::new(frame));
         self.slots.insert(frame.raw(), slot);
         slot
+    }
+
+    /// Maps the page of `size` containing `va` to `frame` in the radix
+    /// table held by `mem` and in this mirror, in one descent.
+    ///
+    /// Makes exactly the radix writes of [`PageTable::map`], in the same
+    /// order and with the same errors, and leaves the mirror as a
+    /// following [`FlatMirror::sync_va`] of `va` would. The descent follows
+    /// the mirror's child slots instead of looking each node's frame up in
+    /// `mem`: an existing intermediate costs an arena read, a missing one
+    /// is allocated through `alloc` and linked in both, and the leaf is
+    /// written to both. `mem` must hold the table this mirror is coherent
+    /// with.
+    ///
+    /// # Errors
+    ///
+    /// * [`PtError::OutOfRange`] — `va` exceeds the paging mode width;
+    /// * [`PtError::Misaligned`] — `va` or `frame` not aligned to `size`;
+    /// * [`PtError::AlreadyMapped`] — a present entry already sits at the
+    ///   leaf level;
+    /// * [`PtError::LargePageConflict`] — an existing large-page leaf blocks
+    ///   the descent.
+    pub fn map(
+        &mut self,
+        mem: &mut SimPhysMem,
+        alloc: &mut dyn PtNodeAllocator,
+        va: VirtAddr,
+        frame: PhysFrameNum,
+        size: PageSize,
+        flags: PteFlags,
+    ) -> Result<(), PtError> {
+        if !self.mode.contains(va) {
+            return Err(PtError::OutOfRange(va));
+        }
+        if !va.is_aligned(size.bytes()) || frame.raw() % size.base_pages() != 0 {
+            return Err(PtError::Misaligned(va));
+        }
+        let leaf_level = size.leaf_level();
+        let mut slot = 0u32;
+        // (level, child level) pairs from the root down to the leaf level.
+        let parents = self.mode.levels().zip(self.mode.levels().skip(1));
+        for (level, child_level) in parents {
+            if level == leaf_level {
+                break;
+            }
+            let idx = level.index_of(va) as usize;
+            let cur = self.nodes[slot as usize].get(idx);
+            let entry = Pte::from_raw(cur.raw);
+            if entry.is_large_leaf() {
+                return Err(PtError::LargePageConflict { va, level });
+            }
+            slot = if entry.is_present() {
+                debug_assert_ne!(cur.child, NO_CHILD, "flat mirror out of sync at {level}");
+                cur.child
+            } else {
+                let child_frame = alloc.alloc_node(child_level, va);
+                mem.install_table_frame(child_frame);
+                let link = Pte::new(child_frame, PteFlags::intermediate());
+                let node = self.nodes[slot as usize].frame;
+                mem.write_entry(PageTable::entry_addr(node, level, va), link);
+                let child = self.slot_for(child_frame);
+                self.nodes[slot as usize].set(
+                    idx,
+                    FlatEntry {
+                        raw: link.raw(),
+                        child,
+                    },
+                );
+                child
+            };
+        }
+        let idx = leaf_level.index_of(va) as usize;
+        let node = &mut self.nodes[slot as usize];
+        if Pte::from_raw(node.get(idx).raw).is_present() {
+            return Err(PtError::AlreadyMapped(va));
+        }
+        let leaf_flags = if size == PageSize::Size4K {
+            flags
+        } else {
+            flags.with(PteFlags::PAGE_SIZE)
+        };
+        let leaf = Pte::new(frame, leaf_flags);
+        mem.write_entry(PageTable::entry_addr(node.frame, leaf_level, va), leaf);
+        node.set(
+            idx,
+            FlatEntry {
+                raw: leaf.raw(),
+                child: NO_CHILD,
+            },
+        );
+        self.resident.set_pages(va.raw(), size.base_pages());
+        Ok(())
     }
 
     /// Re-mirrors the radix path for `va` after a `map`/`unmap` touched it.

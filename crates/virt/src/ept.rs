@@ -3,8 +3,8 @@
 use crate::HostPtMap;
 use asap_alloc::{FrameAllocator, ScatterAllocator, ScatterConfig};
 use asap_pt::{
-    FixedWalk, FlatMirror, PageTable, PtCensus, PtNodeAllocator, PteFlags, SimPhysMem, WalkSource,
-    WalkTrace,
+    FixedWalk, FlatMirror, PageTable, PtCensus, PtError, PtNodeAllocator, PteFlags, SimPhysMem,
+    WalkSource, WalkTrace,
 };
 use asap_types::{PageSize, PagingMode, PhysAddr, PhysFrameNum, PtLevel, VirtAddr, INDEX_BITS};
 
@@ -82,8 +82,9 @@ impl EptConfig {
 pub struct Ept {
     mem: SimPhysMem,
     table: PageTable,
-    /// Derived flat index over `table` (re-synced after every fault-in);
-    /// the radix table in `mem` stays the ground truth.
+    /// Derived flat index over `table`; fault-ins map through it into
+    /// `mem` and the index together. The radix table in `mem` stays the
+    /// ground truth.
     flat: FlatMirror,
     scatter: ScatterAllocator,
     config: EptConfig,
@@ -134,10 +135,14 @@ impl Ept {
 
     /// Ensures the guest-physical page containing `gpa` is backed,
     /// faulting in an identity mapping at the configured host page size.
-    pub fn ensure_mapped(&mut self, gpa: PhysAddr) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`PtError`] of a fault-in the nested table rejects.
+    pub fn ensure_mapped(&mut self, gpa: PhysAddr) -> Result<(), PtError> {
         let va = Self::gpa_as_va(gpa);
         if self.flat.is_mapped(va) {
-            return;
+            return Ok(());
         }
         let size = self.config.host_page_size;
         let va_base = VirtAddr::new_unchecked(va.raw() & !(size.bytes() - 1));
@@ -146,18 +151,16 @@ impl Ept {
             levels: &self.config.host_levels,
             scatter: &mut self.scatter,
         };
-        self.table
-            .map(
-                &mut self.mem,
-                &mut placer,
-                va_base,
-                frame,
-                size,
-                PteFlags::user_data(),
-            )
-            .expect("EPT fault-in cannot double-map");
-        self.flat.sync_va(&self.mem, &self.table, va_base);
+        self.flat.map(
+            &mut self.mem,
+            &mut placer,
+            va_base,
+            frame,
+            size,
+            PteFlags::user_data(),
+        )?;
         self.faults += 1;
+        Ok(())
     }
 
     /// Translates a guest-physical address to host-physical.
@@ -272,14 +275,14 @@ mod tests {
     fn identity_backing() {
         let mut ept = Ept::new(EptConfig::default());
         let g = gpa(0x12_3456_7000);
-        ept.ensure_mapped(g);
+        ept.ensure_mapped(g).unwrap();
         assert_eq!(ept.translate(g), Some(g));
         // Offsets carry through.
         let off = gpa(0x12_3456_7123);
         assert_eq!(ept.translate(off), Some(off));
         assert_eq!(ept.fault_count(), 1);
         // Idempotent.
-        ept.ensure_mapped(g);
+        ept.ensure_mapped(g).unwrap();
         assert_eq!(ept.fault_count(), 1);
     }
 
@@ -293,7 +296,7 @@ mod tests {
     fn host_walk_has_four_steps_on_4k() {
         let mut ept = Ept::new(EptConfig::default());
         let g = gpa(0x4000_0000);
-        ept.ensure_mapped(g);
+        ept.ensure_mapped(g).unwrap();
         let trace = ept.walk(g);
         assert_eq!(trace.steps.len(), 4);
         assert!(!trace.is_fault());
@@ -303,7 +306,7 @@ mod tests {
     fn host_walk_has_three_steps_on_2m() {
         let mut ept = Ept::new(EptConfig::default().host_2m_pages());
         let g = gpa(0x4000_0000);
-        ept.ensure_mapped(g);
+        ept.ensure_mapped(g).unwrap();
         let trace = ept.walk(g);
         assert_eq!(trace.steps.len(), 3, "2 MiB leaf at PL2");
         let t = trace.translation().unwrap();
@@ -317,7 +320,7 @@ mod tests {
         let mut ept = Ept::new(EptConfig::default().host_pl1_and_pl2().with_seed(3));
         // Touch gPAs in several distinct 2 MiB regions, out of order.
         for region in [9u64, 2, 5, 0] {
-            ept.ensure_mapped(gpa(region * (2 << 20)));
+            ept.ensure_mapped(gpa(region * (2 << 20))).unwrap();
         }
         for region in [0u64, 2, 5, 9] {
             let trace = ept.walk(gpa(region * (2 << 20)));
@@ -354,7 +357,7 @@ mod tests {
         let mut frames = Vec::new();
         for region in 0..8u64 {
             let g = gpa(region * (2 << 20));
-            ept.ensure_mapped(g);
+            ept.ensure_mapped(g).unwrap();
             frames.push(
                 ept.walk(g)
                     .step_at(PtLevel::Pl1)

@@ -195,14 +195,15 @@ impl NestedWalker {
     }
 
     /// One 1D host walk: appends its steps and returns the host-physical
-    /// translation of `gpa`. Backs the page lazily (hypervisor fault-in).
+    /// translation of `gpa`. Backs the page lazily (hypervisor fault-in);
+    /// `None` — a host fault — when the walk or the fault-in fails.
     fn host_1d(
         ept: &mut Ept,
         gpa: PhysAddr,
         for_guest_level: Option<PtLevel>,
         steps: &mut Vec<NestedStep>,
     ) -> Option<PhysAddr> {
-        ept.ensure_mapped(gpa);
+        ept.ensure_mapped(gpa).ok()?;
         let trace = ept.walk_fixed(gpa);
         for s in trace.steps() {
             steps.push(NestedStep {

@@ -41,7 +41,8 @@ impl VirtualMachine {
     ///
     /// # Errors
     ///
-    /// Propagates guest [`OsError`]s (e.g. segfaults outside every VMA).
+    /// Propagates guest [`OsError`]s (e.g. segfaults outside every VMA),
+    /// and an EPT fault-in failure as [`OsError::PageTable`].
     pub fn touch(&mut self, va: VirtAddr) -> Result<TouchOutcome, OsError> {
         let outcome = self.guest.touch(va)?;
         if outcome == TouchOutcome::AlreadyMapped {
@@ -49,10 +50,10 @@ impl VirtualMachine {
         }
         let trace = self.guest.walk_fixed(va);
         for step in trace.steps() {
-            self.ept.ensure_mapped(step.entry_addr);
+            self.ept.ensure_mapped(step.entry_addr)?;
         }
         if let Some(t) = trace.translation() {
-            self.ept.ensure_mapped(t.phys_addr(va));
+            self.ept.ensure_mapped(t.phys_addr(va))?;
         }
         Ok(outcome)
     }

@@ -4,12 +4,18 @@
 //! page size, pte flags) and the same step-by-step walk trace (levels,
 //! entry addresses, observed entries). Only with this pinned is it safe to
 //! retire the radix descent from the simulator inner loop.
+//!
+//! The demand-fault path maps through [`FlatMirror::map`], which writes the
+//! radix table and the mirror in one descent; a second harness pins it to
+//! the two-pass reference ([`PageTable::map`] followed by
+//! [`FlatMirror::sync_va`]) step by step.
 
 use asap::os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
 use asap::pt::{
-    BumpNodeAllocator, FlatMirror, PageTable, PteFlags, RadixSource, SimPhysMem, WalkSource, Walker,
+    BumpNodeAllocator, FlatMirror, PageTable, PtNodeAllocator, PteFlags, RadixSource, SimPhysMem,
+    WalkSource, Walker,
 };
-use asap::types::{Asid, ByteSize, PageSize, PagingMode, PhysFrameNum, VirtAddr};
+use asap::types::{Asid, ByteSize, PageSize, PagingMode, PhysFrameNum, PtLevel, VirtAddr};
 use asap::virt::{Ept, EptConfig, VirtualMachine};
 use proptest::prelude::*;
 
@@ -95,8 +101,190 @@ fn assert_equivalent(
     Ok(())
 }
 
+/// How a generated map request is perturbed before it is issued.
+#[derive(Debug, Clone, Copy)]
+enum Perturb {
+    /// Issued as built: aligned, in range.
+    None,
+    /// The VA is moved off its page-size alignment.
+    MisalignedVa,
+    /// The frame is moved off its page-size alignment.
+    MisalignedFrame,
+    /// The VA gets a bit above the paging mode's width.
+    OutOfRange,
+}
+
+fn perturb() -> impl Strategy<Value = Perturb> {
+    (0u32..16).prop_map(|pick| match pick {
+        0..=12 => Perturb::None,
+        13 => Perturb::MisalignedVa,
+        14 => Perturb::MisalignedFrame,
+        _ => Perturb::OutOfRange,
+    })
+}
+
+/// A node placer shaped like the OS's ASAP policy: PL1 and PL2 nodes sit in
+/// reserved regions at `base + (VA >> coverage)` — sorted by the VA they
+/// map — and every other node comes from a bump allocator.
+#[derive(Debug, Clone)]
+struct AsapLikePlacer {
+    scatter: BumpNodeAllocator,
+}
+
+impl AsapLikePlacer {
+    const PL1_BASE: u64 = 0x40_0000_0000;
+    const PL2_BASE: u64 = 0x80_0000_0000;
+}
+
+impl PtNodeAllocator for AsapLikePlacer {
+    fn alloc_node(&mut self, level: PtLevel, va: VirtAddr) -> PhysFrameNum {
+        let index = va.raw() >> (level.index_shift() + 9);
+        match level {
+            PtLevel::Pl1 => PhysFrameNum::new(Self::PL1_BASE + index),
+            PtLevel::Pl2 => PhysFrameNum::new(Self::PL2_BASE + index),
+            _ => self.scatter.alloc_node(level, va),
+        }
+    }
+}
+
+/// Either node allocator, so one table and its twin can draw identical
+/// frames from two clones.
+#[derive(Debug, Clone)]
+enum Placer {
+    Bump(BumpNodeAllocator),
+    AsapLike(AsapLikePlacer),
+}
+
+impl PtNodeAllocator for Placer {
+    fn alloc_node(&mut self, level: PtLevel, va: VirtAddr) -> PhysFrameNum {
+        match self {
+            Placer::Bump(a) => a.alloc_node(level, va),
+            Placer::AsapLike(a) => a.alloc_node(level, va),
+        }
+    }
+}
+
+/// Asserts two simulated memories hold the same table frames with the same
+/// present entries.
+fn assert_same_mem(a: &SimPhysMem, b: &SimPhysMem) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.table_frame_count(), b.table_frame_count());
+    for (frame, fa) in a.iter_table_frames() {
+        let Some(fb) = b.table_frame(frame) else {
+            return Err(TestCaseError::fail(format!("table frame {frame} missing")));
+        };
+        let ea: Vec<_> = fa.iter_present().collect();
+        let eb: Vec<_> = fb.iter_present().collect();
+        prop_assert_eq!(ea, eb, "entries of table frame {} differ", frame);
+    }
+    Ok(())
+}
+
+/// Asserts two mirrors answer `translate`, `walk_fixed` and `is_mapped`
+/// alike at `va`, and that the residency bitmap agrees with translation.
+fn assert_same_answers(
+    a: &FlatMirror,
+    b: &FlatMirror,
+    va: VirtAddr,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        a.translate(va),
+        b.translate(va),
+        "{} translate at {}",
+        what,
+        va
+    );
+    prop_assert_eq!(
+        a.walk_fixed(va),
+        b.walk_fixed(va),
+        "{} walk at {}",
+        what,
+        va
+    );
+    prop_assert_eq!(
+        a.is_mapped(va),
+        b.is_mapped(va),
+        "{} is_mapped at {}",
+        what,
+        va
+    );
+    prop_assert_eq!(
+        a.is_mapped(va),
+        a.translate(va).is_some(),
+        "{} residency vs translate at {}",
+        what,
+        va
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The one-descent fault path is the two-pass reference, step by step:
+    /// random 4K/2M/1G maps (overlapping, misaligned and out-of-range ones
+    /// included) under the bump allocator or an ASAP-shaped placer, through
+    /// `FlatMirror::map` on one table and `PageTable::map` + `sync_va` on a
+    /// twin, return the same results and leave the same radix memory, the
+    /// same mirror answers, and a mirror equal to a rebuild from scratch.
+    #[test]
+    fn flat_map_matches_radix_map_then_sync(
+        ops in proptest::collection::vec((map_req(), perturb()), 1..24),
+        five_level in (0u32..2).prop_map(|b| b == 1),
+        asap_like in (0u32..2).prop_map(|b| b == 1),
+    ) {
+        let mode = if five_level { PagingMode::FiveLevel } else { PagingMode::FourLevel };
+        let scatter = BumpNodeAllocator::new(PhysFrameNum::new(0x10_000));
+        let mut alloc_a = if asap_like {
+            Placer::AsapLike(AsapLikePlacer { scatter })
+        } else {
+            Placer::Bump(scatter)
+        };
+        let mut alloc_b = alloc_a.clone();
+        // Side A: the one-descent path.
+        let mut mem_a = SimPhysMem::new();
+        let pt_a = PageTable::new(mode, &mut mem_a, &mut alloc_a);
+        let mut flat_a = FlatMirror::new(&pt_a);
+        // Side B: radix map, then re-sync the path.
+        let mut mem_b = SimPhysMem::new();
+        let mut pt_b = PageTable::new(mode, &mut mem_b, &mut alloc_b);
+        let mut flat_b = FlatMirror::new(&pt_b);
+        let mut probes = Vec::new();
+        for (i, (req, how)) in ops.iter().enumerate() {
+            let mut va = req.va();
+            let align = req.size.base_pages();
+            let mut frame = PhysFrameNum::new((0x100_000 + i as u64 * 0x4_0000) & !(align - 1));
+            match how {
+                Perturb::None => {}
+                Perturb::MisalignedVa => {
+                    let off = if req.size == PageSize::Size4K { 0x8 } else { 0x1000 };
+                    va = VirtAddr::new(va.raw() + off).unwrap();
+                }
+                Perturb::MisalignedFrame if align > 1 => frame = frame.add(1),
+                Perturb::MisalignedFrame => {}
+                Perturb::OutOfRange => {
+                    va = VirtAddr::new_unchecked(va.raw() | 1 << mode.va_bits());
+                }
+            }
+            let flags = PteFlags::user_data();
+            let got = flat_a.map(&mut mem_a, &mut alloc_a, va, frame, req.size, flags);
+            let want = pt_b.map(&mut mem_b, &mut alloc_b, va, frame, req.size, flags);
+            flat_b.sync_va(&mem_b, &pt_b, va);
+            prop_assert_eq!(got, want, "map #{} of {:?} at {}", i, req.size, va);
+            assert_same_mem(&mem_a, &mem_b)?;
+            prop_assert_eq!(flat_a.node_count(), mem_a.table_frame_count());
+            prop_assert_eq!(flat_b.node_count(), mem_b.table_frame_count());
+            let mut rebuilt = FlatMirror::new(&pt_a);
+            rebuilt.rebuild(&mem_a, &pt_a);
+            prop_assert_eq!(rebuilt.node_count(), flat_a.node_count());
+            probes.extend(probes_for(va));
+            for &probe in &probes {
+                assert_same_answers(&flat_a, &flat_b, probe, "map vs map+sync")?;
+                assert_same_answers(&flat_a, &rebuilt, probe, "map vs rebuild")?;
+                assert_equivalent(&mem_a, &pt_a, &flat_a, probe)?;
+            }
+        }
+    }
 
     /// Arbitrary mixes of 4K/2M/1G mappings with arbitrary sharing of node
     /// chains, under both paging modes, with a subset unmapped again
