@@ -169,31 +169,44 @@ run env CARGO_TARGET_DIR=.bench_build \
 # change that breaks the mirror fail here rather than in the benchmark.
 #
 # The same run pins the simulation itself: the `rows ... digest=` line
-# hashes every spec's result rows at the default seed 42, and must equal
-# the digest recorded below. A host-speed change keeps these digests; a
-# deliberate SIM_SEMVER bump updates them in its own commit.
+# hashes every spec's result rows, and must equal the digest recorded
+# below, at the default seed 42 and at the held-out seed 9001. A
+# host-speed change keeps these digests; a deliberate SIM_SEMVER bump
+# updates them in its own commit.
+#
+# Traced runs drive the engines through perfbench's timing decorator,
+# which keeps the coupled driver order (no OS run-ahead), and compare
+# their rows with run_split's, which runs ahead. So this gate also checks
+# that OS run-ahead reproduces the coupled order at both seeds.
 declare -A perfbench_digest=(
-    [native_1c]=aa71c7dbba2a5940
-    [coloc_smt]=5acdf8531001c42c
-    [virt_2d]=2cd82e1d22d0ae32
-    [smp_64c]=c8585429a31efe6f
+    [native_1c/42]=aa71c7dbba2a5940
+    [coloc_smt/42]=5acdf8531001c42c
+    [virt_2d/42]=2cd82e1d22d0ae32
+    [smp_64c/42]=c8585429a31efe6f
+    [native_1c/9001]=1bbb4e06876b9185
+    [coloc_smt/9001]=f52d4f2c0233de9c
+    [virt_2d/9001]=8aaad0f5d9220664
+    [smp_64c/9001]=7e23cc6f4fb0cca6
 )
-for w in native_1c coloc_smt virt_2d smp_64c; do
-    echo
-    echo "==> python3 perfbench/run.py --workload $w --seconds 1 --trace 1"
-    if ! out="$(python3 perfbench/run.py --workload "$w" --seconds 1 --trace 1)" \
-        || ! last="$(echo "$out" | tail -n 1)" \
-        || ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last"; then
-        echo "perfbench mirror gate FAILED on $w: ${last:-no result line}"
-        exit 1
-    fi
-    echo "$last" | cut -c1-80
-    rows="$(echo "$out" | grep '^rows ' || true)"
-    echo "$rows"
-    if [[ "$rows" != *" digest=${perfbench_digest[$w]}" ]]; then
-        echo "perfbench digest gate FAILED on $w: expected digest=${perfbench_digest[$w]}"
-        exit 1
-    fi
+for seed in 42 9001; do
+    for w in native_1c coloc_smt virt_2d smp_64c; do
+        echo
+        echo "==> python3 perfbench/run.py --workload $w --seed $seed --seconds 1 --trace 1"
+        if ! out="$(python3 perfbench/run.py --workload "$w" --seed "$seed" --seconds 1 --trace 1)" \
+            || ! last="$(echo "$out" | tail -n 1)" \
+            || ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last"; then
+            echo "perfbench mirror gate FAILED on $w at seed $seed: ${last:-no result line}"
+            exit 1
+        fi
+        echo "$last" | cut -c1-80
+        rows="$(echo "$out" | grep '^rows ' || true)"
+        echo "$rows"
+        expected="${perfbench_digest[$w/$seed]}"
+        if [[ "$rows" != *" digest=$expected" ]]; then
+            echo "perfbench digest gate FAILED on $w at seed $seed: expected digest=$expected"
+            exit 1
+        fi
+    done
 done
 run cargo test -q
 run cargo doc --no-deps --quiet

@@ -291,6 +291,163 @@ fn driver_loop(c: &mut Criterion) {
     g.finish();
 }
 
+/// OS run-ahead: `run_cores` on a 64-core and a one-core mc80 ASAP machine
+/// (perfbench `smp_64c`'s 500 + 2,000-access windows per core), once as
+/// is and once with every engine wrapped in `Coupled`, which keeps the
+/// coupled order (each access demand-paged right before its translation).
+/// The shim times one case at a time, so this group times whole runs
+/// itself, on a fresh machine each, and alternates the two cases in ABBA
+/// order so host drift hits both alike.
+fn os_run_ahead(c: &mut Criterion) {
+    use asap_cache::SharedFabric;
+    use asap_core::{AsapHwConfig, EngineOutcome, EngineStats, Mmu, MmuConfig, TranslationEngine};
+    use asap_os::{AsapOsConfig, Process};
+    use asap_sim::{run_cores, CoreSlot, RunMeta, SimConfig};
+    use asap_types::PhysAddr;
+    use asap_workloads::WorkloadSpec;
+    use std::time::{Duration, Instant};
+
+    /// Forwards every call but keeps the default (`false`)
+    /// `translation_is_path_local`.
+    struct Coupled(Mmu);
+
+    impl TranslationEngine for Coupled {
+        type Machine = Process;
+        fn load_context(&mut self, machine: &Process) {
+            TranslationEngine::load_context(&mut self.0, machine);
+        }
+        fn translate_access(&mut self, machine: &mut Process, va: VirtAddr) -> EngineOutcome {
+            self.0.translate_access(machine, va)
+        }
+        fn data_access(&mut self, pa: PhysAddr) -> asap_cache::AccessResult {
+            self.0.data_access(pa)
+        }
+        fn corunner_access(&mut self, line: CacheLineAddr) {
+            self.0.corunner_access(line);
+        }
+        fn now(&self) -> u64 {
+            self.0.now()
+        }
+        fn advance(&mut self, cycles: u64) {
+            self.0.advance(cycles);
+        }
+        fn reset_stats(&mut self) {
+            self.0.reset_stats();
+        }
+        fn stats_snapshot(&self) -> EngineStats {
+            self.0.stats_snapshot()
+        }
+    }
+
+    /// Loads each engine's context, then times one `run_cores` alone.
+    fn drive<E: TranslationEngine<Machine = Process>>(
+        mut engines: Vec<E>,
+        processes: &mut [Process],
+        streams: &mut [asap_workloads::BoxedStream],
+        meta: &RunMeta,
+    ) -> Duration {
+        for (e, p) in engines.iter_mut().zip(processes.iter()) {
+            e.load_context(p);
+        }
+        let mut slots: Vec<CoreSlot<'_, E>> = engines
+            .iter_mut()
+            .zip(processes.iter_mut())
+            .zip(streams.iter_mut())
+            .map(|((engine, machine), stream)| CoreSlot {
+                engine,
+                machine,
+                stream: stream.as_mut(),
+                workload: "bench".into(),
+                corunner: None,
+            })
+            .collect();
+        let t0 = Instant::now();
+        black_box(run_cores(&mut slots, meta).unwrap());
+        t0.elapsed()
+    }
+
+    /// Builds a fresh `cores`-core machine and drives it once.
+    fn timed_run(cores: usize, coupled: bool) -> Duration {
+        let w = WorkloadSpec::mc80();
+        let asap = AsapHwConfig::p1_p2();
+        let os = AsapOsConfig {
+            levels: asap.levels.clone(),
+            max_descriptors: 16,
+            extension_failure_rate: 0.0,
+        };
+        let meta = RunMeta {
+            workload: w.name.into(),
+            label: "bench".into(),
+            sim: SimConfig {
+                warmup_accesses: 500,
+                measure_accesses: 2_000,
+                ..SimConfig::default()
+            },
+            colocated: false,
+            perfect_tlb: false,
+        };
+        let seed = meta.sim.seed;
+        let mut processes: Vec<Process> = (0..cores as u16)
+            .map(|i| w.build_process(Asid(1 + i), os.clone(), seed ^ u64::from(i)))
+            .collect();
+        let mut streams: Vec<_> = processes
+            .iter()
+            .enumerate()
+            .map(|(i, p)| w.build_stream(p, seed ^ 0x11 ^ ((i as u64) << 8)))
+            .collect();
+        let fabric = SharedFabric::new(HierarchyConfig::broadwell_like());
+        let mmus = (0..cores).map(|_| {
+            Mmu::with_fabric(MmuConfig::default().with_asap(asap.clone()), fabric.clone())
+        });
+        if coupled {
+            drive(
+                mmus.map(Coupled).collect(),
+                &mut processes,
+                &mut streams,
+                &meta,
+            )
+        } else {
+            drive(mmus.collect(), &mut processes, &mut streams, &meta)
+        }
+    }
+
+    fn median(mut v: Vec<f64>) -> f64 {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    }
+
+    let g = c.benchmark_group("components/driver/os_run_ahead");
+    for (cores, rounds) in [(64usize, 10usize), (1, 40)] {
+        let (mut ahead, mut coupled, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+        for round in 0..rounds {
+            // ABBA order: neither case always runs first.
+            let first = round % 2 == 1;
+            let x = timed_run(cores, first).as_secs_f64() * 1e3;
+            let y = timed_run(cores, !first).as_secs_f64() * 1e3;
+            let (a, c) = if first { (y, x) } else { (x, y) };
+            ahead.push(a);
+            coupled.push(c);
+            ratio.push(c / a);
+        }
+        let id = format!("components/driver/os_run_ahead/{cores}c");
+        println!(
+            "{:<44} median {:>9.2} ms  ({rounds} runs)",
+            format!("{id}/run_ahead"),
+            median(ahead)
+        );
+        println!(
+            "{:<44} median {:>9.2} ms  ({rounds} runs)",
+            format!("{id}/coupled"),
+            median(coupled)
+        );
+        println!(
+            "{id:<44} coupled / run-ahead {:.3} (median of paired rounds)",
+            median(ratio)
+        );
+    }
+    g.finish();
+}
+
 fn allocators(c: &mut Criterion) {
     let mut g = c.benchmark_group("components/alloc");
     g.bench_function("buddy_alloc_free", |b| {
@@ -411,6 +568,7 @@ criterion_group!(
     page_walk,
     demand_fault,
     driver_loop,
+    os_run_ahead,
     allocators,
     contender_hot_paths,
     workload_gen

@@ -317,6 +317,12 @@ impl TranslationEngine for RevelatorMmu {
         }
     }
 
+    /// The speculative fetch comes from the hint loaded with the context;
+    /// only the verifying walk reads the machine.
+    fn translation_is_path_local(&self) -> bool {
+        true
+    }
+
     fn set_tracer(&mut self, sink: asap_telemetry::TraceSink) {
         self.core.set_tracer(sink);
     }

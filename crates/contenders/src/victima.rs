@@ -355,6 +355,11 @@ impl TranslationEngine for VictimaMmu {
         }
     }
 
+    /// TLB blocks hold evicted TLB entries, never PTEs read off the path.
+    fn translation_is_path_local(&self) -> bool {
+        true
+    }
+
     fn set_tracer(&mut self, sink: asap_telemetry::TraceSink) {
         self.core.set_tracer(sink);
     }

@@ -202,6 +202,31 @@ pub trait TranslationEngine {
     fn collect_metrics(&self, prefix: &str, out: &mut MetricSet) {
         let _ = (prefix, out);
     }
+
+    /// Whether a driver may demand-page this core's next accesses before
+    /// it translates the earlier ones (the `asap-sim` driver's *OS
+    /// run-ahead*). The default `false` keeps the coupled order: every
+    /// access is demand-paged immediately before it is translated.
+    ///
+    /// Return `true` only if no later demand fault can change anything
+    /// [`translate_access`](Self::translate_access) reads for an earlier
+    /// address. A backend must guarantee all of:
+    ///
+    /// * it reads the machine only along the page-table path of the
+    ///   address being translated — never a neighbouring PTE, a fault
+    ///   counter, an allocator, or any other state demand paging updates
+    ///   off that path;
+    /// * any machine state it writes (e.g. a nested machine's lazy host
+    ///   mapping) is already in place for every demand-paged address, so
+    ///   its writes never interleave with the OS's frame allocations;
+    /// * its machine's demand paging only ever adds entries, so every
+    ///   entry on a mapped address's path is present and final.
+    ///
+    /// A clustered-TLB fill reads the 8-PTE line around the address, which
+    /// later faults fill in, so an engine with one must return `false`.
+    fn translation_is_path_local(&self) -> bool {
+        false
+    }
 }
 
 /// The **private, per-core** state and plumbing every translation engine

@@ -466,6 +466,12 @@ impl TranslationEngine for Mmu {
         self.core.take_tracer()
     }
 
+    /// Path-local unless a clustered TLB is configured: its fill reads the
+    /// PTE line around the address, which later faults change.
+    fn translation_is_path_local(&self) -> bool {
+        self.clustered.is_none()
+    }
+
     fn collect_metrics(&self, prefix: &str, out: &mut asap_telemetry::MetricSet) {
         use asap_telemetry::Collect;
         self.stats_snapshot().collect(prefix, out);

@@ -376,6 +376,13 @@ impl TranslationEngine for NestedMmu {
         }
     }
 
+    /// The 2D walk reads only the guest and host paths of the address;
+    /// `VirtualMachine::touch` backs both in the EPT, so the walker's lazy
+    /// host fill never allocates for a demand-paged address.
+    fn translation_is_path_local(&self) -> bool {
+        true
+    }
+
     fn set_tracer(&mut self, sink: asap_telemetry::TraceSink) {
         self.core.set_tracer(sink);
     }

@@ -17,6 +17,21 @@
 //! boundary. With one core the loop degenerates into exactly the classic
 //! single-core driver, which is what pins the engine-parity goldens.
 //!
+//! **OS run-ahead.** Step (1) depends only on the core's own stream and
+//! machine, never on simulated time, so when a core's engine declares
+//! [`TranslationEngine::translation_is_path_local`] the driver does it in
+//! blocks: a core with no pending access draws up to
+//! [`OS_RUN_AHEAD_DEPTH`] accesses and demand-pages them all, then
+//! translates them one per scheduled step as before. A block stops at the
+//! core's warmup boundary (so the self-profile charges OS work to its own
+//! window), at the end of the window, and at the first demand-paging
+//! error, which is returned only when the core reaches that access. Each
+//! core owns its machine and demand paging only adds entries, so a later
+//! fault cannot change what an earlier translation reads: the rows are
+//! those of the coupled order, while one core's page tables, allocators
+//! and stream stay hot in the host caches for a whole block instead of
+//! ~10 accesses. Any other engine gets blocks of one — the coupled order.
+//!
 //! The machine assemblies live beside it: `native.rs` builds 1..=64
 //! cores of any native backend over one fabric, `virt.rs` builds the
 //! one-core virtualized machine, and both hand their cores to
@@ -266,14 +281,96 @@ impl DriverObserver {
     }
 }
 
-/// Per-core window accounting the driver keeps outside the engines.
+/// How many accesses one OS run-ahead block may demand-page ahead of its
+/// core's translations: 32 KiB of queued VAs per core. Blocks of tens of
+/// accesses save little; the saving grows until a block covers most of a
+/// window (ARCHITECTURE.md, "OS run-ahead").
+pub const OS_RUN_AHEAD_DEPTH: usize = 4096;
+
+/// The per-window counters the driver keeps outside the engines; reset at
+/// each core's warmup boundary.
 #[derive(Debug, Clone, Copy, Default)]
-struct CoreAccounting {
-    accesses_done: u64,
-    window_start_cycle: u64,
+struct WindowCounters {
+    start_cycle: u64,
     walk_cycles: u64,
     prefetches_issued: u64,
     prefetches_dropped: u64,
+}
+
+/// A core's OS run-ahead block: accesses already drawn from its stream and
+/// demand-paged, waiting to be translated in order.
+#[derive(Debug)]
+struct RunAhead {
+    /// Most accesses one block may hold: [`OS_RUN_AHEAD_DEPTH`] for a
+    /// path-local engine, 1 (the coupled order) otherwise.
+    depth: u64,
+    /// The block; its capacity is allocated once per run.
+    vas: Vec<VirtAddr>,
+    /// Index into `vas` of the next access to translate.
+    next: usize,
+    /// The demand-paging error of the access right after the block,
+    /// returned when the core reaches it.
+    fault: Option<DriverError>,
+}
+
+impl RunAhead {
+    fn new(depth: u64) -> Self {
+        Self {
+            depth,
+            vas: Vec::with_capacity(usize::try_from(depth).unwrap_or(0)),
+            next: 0,
+            fault: None,
+        }
+    }
+
+    /// The core's next access, already demand-paged. An empty block is
+    /// refilled with up to `depth` accesses, stopping at `stop` (the end of
+    /// the core's current window, in accesses done) and at the first
+    /// demand-paging error.
+    // asap-lint: hot-path
+    fn next_va<E: TranslationEngine>(
+        &mut self,
+        core: &mut CoreSlot<'_, E>,
+        done: u64,
+        stop: u64,
+    ) -> Result<VirtAddr, DriverError> {
+        if self.next == self.vas.len() {
+            if let Some(err) = self.fault.take() {
+                return Err(err);
+            }
+            self.vas.clear();
+            self.next = 0;
+            for _ in 0..self.depth.min(stop.saturating_sub(done)) {
+                let va = core.stream.next_va();
+                // OS demand paging happens off the measured path (a
+                // faulting access costs microseconds of OS work either
+                // way; the paper's walk-latency metric covers successful
+                // walks).
+                if let Err(source) = core.machine.demand_page(va) {
+                    self.fault = Some(DriverError::stream_escaped_vma(va, source));
+                    break;
+                }
+                self.vas.push(va);
+            }
+        }
+        match self.vas.get(self.next) {
+            Some(&va) => {
+                self.next += 1;
+                Ok(va)
+            }
+            None => Err(self.fault.take().unwrap_or(DriverError::incompatible_spec(
+                "a run-ahead block drew no access",
+            ))),
+        }
+    }
+}
+
+/// Per-core accounting the driver keeps outside the engines.
+#[derive(Debug)]
+struct CoreAccounting {
+    accesses_done: u64,
+    window: WindowCounters,
+    run_ahead: RunAhead,
 }
 
 /// Runs one scenario over N cores sharing a memory fabric — warmup
@@ -319,7 +416,21 @@ pub fn run_cores_observed<E: TranslationEngine>(
         ));
     }
     let total = meta.sim.warmup_accesses + meta.sim.measure_accesses;
-    let mut accounting = vec![CoreAccounting::default(); cores.len()];
+    let mut accounting: Vec<CoreAccounting> = cores
+        .iter()
+        .map(|core| {
+            let depth = if core.engine.translation_is_path_local() {
+                OS_RUN_AHEAD_DEPTH as u64
+            } else {
+                1
+            };
+            CoreAccounting {
+                accesses_done: 0,
+                window: WindowCounters::default(),
+                run_ahead: RunAhead::new(depth.min(total)),
+            }
+        })
+        .collect();
     if meta.sim.lockstep {
         run_lockstep(cores, &mut accounting, total, meta, obs)?;
     } else {
@@ -340,10 +451,10 @@ pub fn run_cores_observed<E: TranslationEngine>(
                 l2_tlb_misses: stats.l2_tlb.misses,
                 l2_tlb_accesses: stats.l2_tlb.accesses(),
                 instructions: meta.sim.measure_accesses * INSTRUCTIONS_PER_ACCESS,
-                cycles: core.engine.now() - acct.window_start_cycle,
-                walk_cycles: acct.walk_cycles,
-                prefetches_issued: acct.prefetches_issued,
-                prefetches_dropped: acct.prefetches_dropped,
+                cycles: core.engine.now() - acct.window.start_cycle,
+                walk_cycles: acct.window.walk_cycles,
+                prefetches_issued: acct.window.prefetches_issued,
+                prefetches_dropped: acct.window.prefetches_dropped,
                 faults: stats.walk_faults,
             }
         })
@@ -425,7 +536,8 @@ fn run_lockstep<E: TranslationEngine>(
 }
 
 /// One core's next application reference: warmup-boundary stats reset,
-/// demand paging, translation, the data access, and the co-runner burst.
+/// demand paging (run ahead in blocks, see [`RunAhead`]), translation, the
+/// data access, and the co-runner burst.
 // asap-lint: hot-path
 fn step_core<E: TranslationEngine>(
     core: &mut CoreSlot<'_, E>,
@@ -433,24 +545,25 @@ fn step_core<E: TranslationEngine>(
     meta: &RunMeta,
     obs: Option<&mut DriverObserver>,
 ) -> Result<(), DriverError> {
-    if acct.accesses_done == meta.sim.warmup_accesses {
+    let warmup = meta.sim.warmup_accesses;
+    if acct.accesses_done == warmup {
         if let Some(o) = obs {
             o.warmup_boundary();
         }
         core.engine.reset_stats();
-        *acct = CoreAccounting {
-            accesses_done: acct.accesses_done,
-            window_start_cycle: core.engine.now(),
-            ..CoreAccounting::default()
+        acct.window = WindowCounters {
+            start_cycle: core.engine.now(),
+            ..WindowCounters::default()
         };
     }
-    let va = core.stream.next_va();
-    // OS demand paging happens off the measured path (a faulting access
-    // costs microseconds of OS work either way; the paper's walk-latency
-    // metric covers successful walks).
-    core.machine
-        .demand_page(va)
-        .map_err(|source| DriverError::stream_escaped_vma(va, source))?;
+    // A block never crosses the warmup boundary, so the self-profile
+    // charges each access's OS work to its own window.
+    let stop = if acct.accesses_done < warmup {
+        warmup
+    } else {
+        warmup + meta.sim.measure_accesses
+    };
+    let va = acct.run_ahead.next_va(core, acct.accesses_done, stop)?;
     let pa = if meta.perfect_tlb {
         core.machine
             .reference_translate(va)
@@ -458,9 +571,9 @@ fn step_core<E: TranslationEngine>(
     } else {
         let outcome = core.engine.translate_access(core.machine, va);
         if outcome.path == TranslationPath::Walk {
-            acct.walk_cycles += outcome.latency;
-            acct.prefetches_issued += u64::from(outcome.prefetches_issued);
-            acct.prefetches_dropped += u64::from(outcome.prefetches_dropped);
+            acct.window.walk_cycles += outcome.latency;
+            acct.window.prefetches_issued += u64::from(outcome.prefetches_issued);
+            acct.window.prefetches_dropped += u64::from(outcome.prefetches_dropped);
         }
         outcome.phys.ok_or(DriverError::untranslatable_page(va))?
     };

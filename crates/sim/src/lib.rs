@@ -65,7 +65,7 @@ pub use config::{EngineSelect, MachineSelect, RunSpec, SimConfig, MAX_CORES, MAX
 pub use cycles::{CPU_WORK_CYCLES_PER_ACCESS, INSTRUCTIONS_PER_ACCESS};
 pub use driver::{
     run_cores, run_cores_observed, run_scenario, CoreSlot, DriverError, DriverErrorKind,
-    DriverObserver, RunMeta,
+    DriverObserver, RunMeta, OS_RUN_AHEAD_DEPTH,
 };
 pub use json::{results_to_json, BenchDoc, BenchError, BenchRun, BenchScenario, JsonParseError};
 pub use parallel::{parallel_map, parallel_map_prioritized};
