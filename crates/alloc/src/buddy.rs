@@ -125,6 +125,7 @@ impl BuddyAllocator {
     /// Panics on double free or order mismatch — these are simulator bugs.
     pub fn free(&mut self, frame: PhysFrameNum, order: u32) {
         let off = frame.raw() - self.base;
+        #[expect(clippy::panic, reason = "a double or wild free (# Panics)")]
         match self.allocated.remove(&off) {
             Some(recorded) => assert_eq!(
                 recorded, order,

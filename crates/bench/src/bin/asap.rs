@@ -454,6 +454,7 @@ fn execute_and_report(set: &[Scenario], cli: &Cli, default_json: Option<&str>) -
         eprintln!("asap: no scenario matches the filter");
         return ExitCode::from(2);
     }
+    #[expect(clippy::disallowed_methods, reason = "command wall time")]
     let start = std::time::Instant::now();
     let cache = open_cache(cli);
     let results = execute_scenarios_cached(set, sim_config(cli.quick), cache.as_ref());
@@ -642,9 +643,10 @@ fn manifest_specs() -> Vec<RunSpec> {
 }
 
 /// `asap metrics-manifest [path] [--check]`: regenerate (or verify) the
-/// committed manifest of every metric name the backends can emit — the
-/// ground truth the `metric-names` rule of `asap-lint` diffs the code
-/// against.
+/// committed manifest of every metric name the backends can emit.
+/// `ci.sh` runs the `--check` form, so a metric added to or renamed in
+/// any `Collect` impl that [`manifest_specs`] reaches fails CI until the
+/// regenerated manifest is committed.
 fn cmd_metrics_manifest(cli: &Cli) -> ExitCode {
     let path = match cli.names.as_slice() {
         [] => "METRICS.json",

@@ -136,6 +136,7 @@ pub fn execute_scenarios_cached(
             out[i] = Some(results);
         }
     }
+    #[expect(clippy::expect_used, reason = "the loop fills every slot once")]
     out.into_iter()
         .map(|r| r.expect("every scenario lands in exactly one group"))
         .collect()

@@ -174,6 +174,7 @@ impl MemoryFabric {
     /// Panics without a prior [`MemoryFabric::configure_numa`], or when
     /// the window overlaps one already registered.
     pub fn assign_window(&mut self, start_line: CacheLineAddr, lines: u64) -> usize {
+        #[expect(clippy::expect_used, reason = "must configure_numa first")]
         let numa = self.numa.as_mut().expect("configure_numa first");
         let node = numa.next_node;
         numa.next_node = (numa.next_node + 1) % numa.config.nodes;
@@ -203,7 +204,6 @@ impl MemoryFabric {
     /// is served by DRAM and homed on a different node, the interconnect
     /// hop is added to the reported latency; merged accesses ride the fill
     /// already in flight and pay nothing extra.
-    // asap-lint: hot-path
     pub fn access_from(&mut self, line: CacheLineAddr, now: u64, node: usize) -> AccessResult {
         let mut r = self.hierarchy.access_at(line, now);
         if let Some(numa) = self.numa.as_mut() {
@@ -369,7 +369,6 @@ impl SharedFabric {
 
     /// A demand access issued at the caller's local cycle `now`, stamped
     /// with this handle's node.
-    // asap-lint: hot-path
     pub fn access_at(&self, line: CacheLineAddr, now: u64) -> AccessResult {
         self.fabric.borrow_mut().access_from(line, now, self.node)
     }

@@ -410,7 +410,6 @@ impl TranslationEngine for Mmu {
         Mmu::load_context(self, machine.vma_descriptors());
     }
 
-    // asap-lint: hot-path
     fn translate_access(&mut self, machine: &mut Process, va: VirtAddr) -> EngineOutcome {
         let cluster = self
             .clustered

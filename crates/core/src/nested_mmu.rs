@@ -5,7 +5,7 @@ use crate::{NestedAsapConfig, NestedMmuConfig, RangeRegisterFile, ServedByMatrix
 use asap_os::VmaDescriptor;
 use asap_tlb::{PageWalkCaches, TlbEntry, TlbLevel};
 use asap_types::{Asid, PhysAddr, PtLevel, VirtAddr};
-use asap_virt::{Dim, VirtualMachine};
+use asap_virt::{Dim, NestedStep, NestedWalkTrace, VirtualMachine};
 
 /// ASID used to tag host-dimension structures (one VM per core in the
 /// evaluated scenarios).
@@ -65,6 +65,8 @@ pub struct NestedMmu {
     host_desc: Option<VmaDescriptor>,
     guest_served: ServedByMatrix,
     host_served: ServedByMatrix,
+    /// The 2D walk's step buffer, reused so a walk does not allocate.
+    walk_steps: Vec<NestedStep>,
 }
 
 impl NestedMmu {
@@ -90,6 +92,7 @@ impl NestedMmu {
             asap,
             guest_served: ServedByMatrix::new(),
             host_served: ServedByMatrix::new(),
+            walk_steps: Vec::new(),
         }
     }
 
@@ -129,7 +132,9 @@ impl NestedMmu {
                 walk: None,
             };
         }
-        let trace = vm.nested_walk(va);
+        let mut steps = std::mem::take(&mut self.walk_steps);
+        let outcome = vm.nested_walk_into(va, &mut steps);
+        let trace = NestedWalkTrace { va, steps, outcome };
         let t0 = self.core.now();
         let mut issued = 0u8;
         let mut dropped = 0u8;
@@ -247,6 +252,7 @@ impl NestedMmu {
         } else {
             self.core.walk_faults += 1;
         }
+        self.walk_steps = trace.steps;
         NestedAccessOutcome {
             path: NestedPath::Walk,
             latency,

@@ -211,6 +211,7 @@ impl ReservationSet {
                         return Some(f);
                     }
                 }
+                #[expect(clippy::expect_used, reason = "fallback outsizes any PT")]
                 let frame = fallback
                     .alloc_frame()
                     .expect("fallback allocator exhausted");
@@ -253,6 +254,7 @@ impl PtNodeAllocator for NodePlacer<'_> {
                 }
             }
         }
+        #[expect(clippy::expect_used, reason = "PT window outsizes any PT")]
         self.scatter
             .alloc_frame()
             .expect("PT scatter window exhausted")

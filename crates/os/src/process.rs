@@ -166,6 +166,7 @@ impl Process {
     pub fn new(config: ProcessConfig) -> Self {
         let phys = config.phys_map();
         let mut vmas = VmaTree::new();
+        #[expect(clippy::expect_used, reason = "overlapping VMAs (# Panics)")]
         let ids = config
             .layout
             .build(&mut vmas)
@@ -450,6 +451,7 @@ impl asap_alloc::FrameAllocator for RebasedScatter<'_> {
 
 impl asap_pt::PtNodeAllocator for RebasedScatter<'_> {
     fn alloc_node(&mut self, _level: asap_types::PtLevel, _va: VirtAddr) -> PhysFrameNum {
+        #[expect(clippy::expect_used, reason = "PT window outsizes any PT")]
         asap_alloc::FrameAllocator::alloc_frame(self).expect("PT scatter window exhausted")
     }
 }

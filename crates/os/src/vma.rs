@@ -209,7 +209,7 @@ impl VmaTree {
             .find(|vma| vma.id() == id)
             .map(|vma| vma.start.raw())
             .ok_or(OsError::UnknownVma)?;
-        let vma = self.by_start[&start];
+        let mut vma = self.by_start[&start];
         if new_end <= vma.end {
             return Err(OsError::EmptyRange);
         }
@@ -219,7 +219,8 @@ impl VmaTree {
                 return Err(OsError::Overlap);
             }
         }
-        self.by_start.get_mut(&start).expect("present").end = new_end;
+        vma.end = new_end;
+        self.by_start.insert(start, vma);
         Ok(())
     }
 

@@ -89,6 +89,7 @@ impl PtCensus {
             for (_, entry) in node.iter_present() {
                 census.entries[idx] += 1;
                 if level != PtLevel::Pl1 && !entry.is_large_leaf() {
+                    #[expect(clippy::expect_used, reason = "only non-PL1 levels get here")]
                     let child_level = level.child().expect("non-leaf");
                     stack.push((entry.frame(), child_level));
                 }

@@ -357,6 +357,7 @@ impl FlatMirror {
         if let Some(&slot) = self.slots.get(&frame.raw()) {
             return slot;
         }
+        #[expect(clippy::expect_used, reason = "2^32 nodes exceed host memory")]
         let slot = u32::try_from(self.nodes.len()).expect("arena slots fit in u32");
         self.nodes.push(FlatNode::new(frame));
         self.slots.insert(frame.raw(), slot);
@@ -544,6 +545,7 @@ impl FlatMirror {
                 let flat = if entry.is_present() && level != PtLevel::Pl1 && !entry.is_large_leaf()
                 {
                     let child = self.slot_for(entry.frame());
+                    #[expect(clippy::expect_used, reason = "only non-PL1 levels get here")]
                     stack.push((
                         child,
                         level.child().expect("non-leaf level has a child"),
@@ -578,7 +580,6 @@ impl FlatMirror {
     /// should use [`FlatMirror::is_mapped`] instead — the bitmap probe is
     /// an order of magnitude cheaper than this four-node descent when the
     /// arena is cache-cold.
-    // asap-lint: hot-path
     #[must_use]
     pub fn translate(&self, va: VirtAddr) -> Option<Translation> {
         if !self.mode.contains(va) {

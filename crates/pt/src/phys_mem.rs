@@ -84,6 +84,7 @@ impl SimPhysMem {
         assert!(addr.is_aligned(PTE_SIZE), "unaligned PTE write at {addr}");
         let frame = addr.frame_number();
         let index = addr.frame_offset() / PTE_SIZE;
+        #[expect(clippy::panic, reason = "unregistered PTE frame (# Panics)")]
         let f = self
             .frames
             .get_mut(&frame.raw())

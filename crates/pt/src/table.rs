@@ -159,6 +159,8 @@ impl PageTable {
         let mut level = self.mode.root_level();
         // Descend, creating intermediate nodes, until the leaf level.
         while level != leaf_level {
+            #[expect(clippy::expect_used, reason = "the loop stops above the leaf")]
+            let child_level = level.child().expect("non-leaf level has a child");
             let entry_addr = Self::entry_addr(node, level, va);
             let entry = mem.read_entry(entry_addr);
             if entry.is_large_leaf() {
@@ -167,13 +169,12 @@ impl PageTable {
             node = if entry.is_present() {
                 entry.frame()
             } else {
-                let child =
-                    alloc.alloc_node(level.child().expect("non-leaf level has a child"), va);
+                let child = alloc.alloc_node(child_level, va);
                 mem.install_table_frame(child);
                 mem.write_entry(entry_addr, Pte::new(child, PteFlags::intermediate()));
                 child
             };
-            level = level.child().expect("loop stops at leaf level");
+            level = child_level;
         }
         let leaf_addr = Self::entry_addr(node, leaf_level, va);
         if mem.read_entry(leaf_addr).is_present() {

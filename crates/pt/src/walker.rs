@@ -277,7 +277,9 @@ impl Walker {
                 return WalkTrace { va, steps, outcome };
             }
             node = entry.frame();
-            level = level.child().expect("descending from non-leaf");
+            #[expect(clippy::expect_used, reason = "a PL1 entry ends the walk above")]
+            let child = level.child().expect("descending from non-leaf");
+            level = child;
         }
     }
 }

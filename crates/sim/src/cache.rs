@@ -255,6 +255,7 @@ impl RunSpec {
     /// Runs the spec and measures its wall-clock (the executor's cost
     /// hint — advisory only, never part of any reported statistic).
     pub(crate) fn run_split_timed(&self) -> Result<(RunOutput, u64), DriverError> {
+        #[expect(clippy::disallowed_methods, reason = "advisory cost hint only")]
         let start = std::time::Instant::now();
         let output = self.run_split()?;
         let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -13,9 +13,10 @@
 //! and the observed wall-clock of the producing run (the executor's
 //! cost hint — advisory, never part of any reported statistic).
 
-use crate::json::{escape, JsonParseError, Parser};
+use crate::json::{JsonParseError, Parser};
 use crate::{RunOutput, RunResult};
 use asap_core::{ServedByMatrix, WalkLatencyStats};
+use asap_telemetry::metrics::escape;
 use std::fmt::Write as _;
 
 /// Version stamp of the payload layout; bump on any byte-layout change.
@@ -361,7 +362,7 @@ mod tests {
     #[test]
     fn escaped_labels_survive() {
         let mut row = sample(false);
-        row.label = "odd \"label\"\nwith\tescapes".into();
+        row.label = "odd \"label\"\nwith\tescapes\r".into();
         let back = result_from_json(&result_to_json(&row)).unwrap();
         assert_eq!(back.label, row.label);
     }

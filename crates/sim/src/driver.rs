@@ -252,7 +252,7 @@ impl DriverObserver {
     pub fn new(trace: bool) -> Self {
         Self {
             sched: trace.then(TraceSink::default),
-            // asap-lint: allow(determinism-time) — self-profile wall clock
+            #[expect(clippy::disallowed_methods, reason = "self-profile wall clock")]
             started: Instant::now(),
             warmup_ended: None,
         }
@@ -264,8 +264,8 @@ impl DriverObserver {
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "self-profile wall clock")]
     fn warmup_boundary(&mut self) {
-        // asap-lint: allow(determinism-time) — self-profile wall clock
         self.warmup_ended = Some(Instant::now());
     }
 
@@ -273,7 +273,7 @@ impl DriverObserver {
     /// measure) wall-clock split.
     #[must_use]
     pub fn finish(self) -> (Vec<TraceEvent>, Duration, Duration) {
-        // asap-lint: allow(determinism-time) — self-profile wall clock
+        #[expect(clippy::disallowed_methods, reason = "self-profile wall clock")]
         let end = Instant::now();
         let boundary = self.warmup_ended.unwrap_or(self.started);
         let sched = self.sched.map(|s| s.events()).unwrap_or_default();
@@ -327,7 +327,6 @@ impl RunAhead {
     /// refilled with up to `depth` accesses, stopping at `stop` (the end of
     /// the core's current window, in accesses done) and at the first
     /// demand-paging error.
-    // asap-lint: hot-path
     fn next_va<E: TranslationEngine>(
         &mut self,
         core: &mut CoreSlot<'_, E>,
@@ -470,7 +469,6 @@ pub fn run_cores_observed<E: TranslationEngine>(
 /// linear-scan schedule exactly (the `prop_smp_determinism` oracle); with
 /// one core the bound is `None` and the loop degenerates into the classic
 /// run-to-completion single-core driver.
-// asap-lint: hot-path
 fn run_event_queue<E: TranslationEngine>(
     cores: &mut [CoreSlot<'_, E>],
     accounting: &mut [CoreAccounting],
@@ -538,7 +536,6 @@ fn run_lockstep<E: TranslationEngine>(
 /// One core's next application reference: warmup-boundary stats reset,
 /// demand paging (run ahead in blocks, see [`RunAhead`]), translation, the
 /// data access, and the co-runner burst.
-// asap-lint: hot-path
 fn step_core<E: TranslationEngine>(
     core: &mut CoreSlot<'_, E>,
     acct: &mut CoreAccounting,

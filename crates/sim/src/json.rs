@@ -11,26 +11,8 @@
 
 use crate::scenarios::ScenarioResults;
 use crate::RunResult;
+use asap_telemetry::metrics::escape;
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an `f64` as a JSON number (finite values only; the metrics
 /// emitted here are ratios and means, never NaN/inf).

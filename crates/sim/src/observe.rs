@@ -32,6 +32,7 @@ impl RunObserver {
     pub(crate) fn begin(cfg: TelemetryConfig) -> Self {
         Self {
             cfg,
+            #[expect(clippy::disallowed_methods, reason = "self-profile wall clock")]
             setup_started: cfg.profile.then(Instant::now),
             setup: Duration::ZERO,
             driver: None,
@@ -71,6 +72,7 @@ impl RunObserver {
         if !self.cfg.any() {
             return None;
         }
+        #[expect(clippy::disallowed_methods, reason = "self-profile wall clock")]
         let flush_started = Instant::now();
         let mut out = RunTelemetry::default();
         if self.cfg.trace {

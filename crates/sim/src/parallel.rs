@@ -8,7 +8,7 @@
 //! cheap tail instead of landing on an otherwise-drained pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Applies `f` to every item on a pool of host threads, preserving input
 /// order in the output. Each run is internally deterministic (seeded), so
@@ -77,6 +77,8 @@ where
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
+    // `f` never runs under a slot lock, so a lock poisoned by a panicking
+    // worker guards intact data; the panic itself propagates from the scope.
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
@@ -89,21 +91,23 @@ where
                     break;
                 }
                 let i = order.map_or(pos, |o| o[pos]);
+                #[expect(clippy::expect_used, reason = "each position is claimed once")]
                 let item = work[i]
                     .lock()
-                    .expect("work slot poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .take()
                     .expect("each slot taken once");
                 let r = f(item);
-                *results[i].lock().expect("result slot poisoned") = Some(r);
+                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
         }
     });
+    #[expect(clippy::expect_used, reason = "every position was claimed")]
     results
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .expect("result slot poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .expect("all slots filled")
         })
         .collect()

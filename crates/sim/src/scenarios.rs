@@ -429,6 +429,7 @@ impl Scenario {
     /// Executes every run across host threads and collects the results.
     #[must_use]
     pub fn run(&self, sim: SimConfig) -> ScenarioResults {
+        #[expect(clippy::expect_used, reason = "one scenario in, one set out")]
         run_scenarios(std::slice::from_ref(self), sim)
             .pop()
             .expect("one scenario in, one result set out")
@@ -484,6 +485,7 @@ impl ScenarioResults {
     /// than rendered as an empty cell.
     #[must_use]
     pub fn get(&self, workload: &str, variant: &str) -> &RunResult {
+        #[expect(clippy::panic, reason = "a missing row is a harness bug")]
         self.runs
             .iter()
             .find(|r| r.workload == workload && r.variant == variant)
@@ -518,6 +520,7 @@ impl ScenarioResults {
     /// [`ScenarioResults::get`]).
     #[must_use]
     pub fn per_core(&self, workload: &str, variant: &str) -> &[RunResult] {
+        #[expect(clippy::panic, reason = "a missing row is a harness bug")]
         self.runs
             .iter()
             .find(|r| r.workload == workload && r.variant == variant)

@@ -77,7 +77,6 @@ impl EventQueue {
     }
 
     /// Inserts a key in O(log n).
-    // asap-lint: hot-path
     pub fn push(&mut self, key: ArbKey) {
         self.heap.push(key);
         let mut i = self.heap.len() - 1;
@@ -92,7 +91,6 @@ impl EventQueue {
     }
 
     /// Removes and returns the minimum key in O(log n).
-    // asap-lint: hot-path
     pub fn pop(&mut self) -> Option<ArbKey> {
         let last = self.heap.len().checked_sub(1)?;
         self.heap.swap(0, last);

@@ -39,7 +39,6 @@ const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 /// Hashes `bytes` with 128-bit FNV-1a. Not cryptographic — the cache is
 /// a trusted-input content store, and 128 bits makes accidental
 /// collisions across a few thousand run specs vanishingly unlikely.
-// asap-lint: hot-path
 #[must_use]
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
     let mut h = FNV_OFFSET;

@@ -161,7 +161,10 @@ fn metric_json(m: &Metric) -> String {
     }
 }
 
-/// Escapes a string for JSON embedding.
+/// Escapes a string for JSON embedding: the workspace's one JSON string
+/// escape, shared by the trace, metrics and result-file writers. Control
+/// characters other than `\n` become `\uXXXX`, the only form
+/// [`crate::chrome::parse`] reads back.
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

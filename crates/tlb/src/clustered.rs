@@ -143,6 +143,7 @@ impl ClusteredTlb {
             "cluster fill needs exactly 8 sub-page translations"
         );
         let sub = (vpn.raw() % CLUSTER_PAGES) as usize;
+        #[expect(clippy::expect_used, reason = "an unmapped anchor (# Panics)")]
         let anchor_pfn = cluster_pfns[sub].expect("anchor page must be mapped");
         // base such that pfn(sub) = base + sub.
         let Some(base) = anchor_pfn.raw().checked_sub(sub as u64) else {

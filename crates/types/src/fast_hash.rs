@@ -7,6 +7,10 @@
 //! deterministic across runs, which the reproducibility story relies on
 //! anyway. Only map *lookup cost* changes; nothing in the simulator depends
 //! on map iteration order.
+//!
+//! `clippy.toml` bans the std `HashMap` and `HashSet` (`disallowed-types`),
+//! so [`FastMap`] and [`FastSet`], the rule's two exceptions, are the only
+//! hash containers library code can name.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -64,15 +68,13 @@ pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 /// A `HashMap` keyed with the fast deterministic hasher.
 ///
 /// Unlike the `RandomState` default, lookup *and iteration order* are
-/// identical across runs and across processes — the property the
-/// workspace-wide determinism lint (`asap-lint`) enforces by banning the
-/// std default in simulation crates.
-// asap-lint: allow(determinism-map) — this IS the deterministic wrapper
+/// identical across runs and across processes.
+#[expect(clippy::disallowed_types, reason = "the deterministic wrapper")]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` keyed with the fast deterministic hasher — the companion
 /// to [`FastMap`] for membership-only state.
-// asap-lint: allow(determinism-map) — this IS the deterministic wrapper
+#[expect(clippy::disallowed_types, reason = "the deterministic wrapper")]
 pub type FastSet<T> = std::collections::HashSet<T, FastBuildHasher>;
 
 #[cfg(test)]

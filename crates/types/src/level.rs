@@ -190,6 +190,7 @@ impl PagingMode {
     /// Iterates the levels of a walk in traversal order (root to leaf).
     pub fn levels(self) -> impl DoubleEndedIterator<Item = PtLevel> + Clone {
         let root = self.root_level().depth();
+        #[expect(clippy::expect_used, reason = "each depth names a level")]
         (1..=root)
             .rev()
             .map(|d| PtLevel::from_depth(d).expect("depth in range"))

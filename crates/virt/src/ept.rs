@@ -125,6 +125,7 @@ impl Ept {
     /// guarantees it never does).
     #[must_use]
     pub fn gpa_as_va(gpa: PhysAddr) -> VirtAddr {
+        #[expect(clippy::expect_used, reason = "gPAs fit 4 levels (# Panics)")]
         let va = VirtAddr::new(gpa.raw()).expect("gPA exceeds canonical VA");
         assert!(
             PagingMode::FourLevel.contains(va),
@@ -255,6 +256,7 @@ impl PtNodeAllocator for HostNodePlacer<'_> {
                 return base.add(index);
             }
         }
+        #[expect(clippy::expect_used, reason = "host PT window outsizes any PT")]
         let f = self
             .scatter
             .alloc_frame()

@@ -45,5 +45,5 @@ mod vm;
 
 pub use ept::{Ept, EptConfig};
 pub use host_map::HostPtMap;
-pub use nested::{Dim, NestedStep, NestedWalkTrace, NestedWalker};
+pub use nested::{Dim, NestedOutcome, NestedStep, NestedWalkTrace, NestedWalker};
 pub use vm::VirtualMachine;

@@ -121,13 +121,22 @@ impl NestedWalker {
     #[must_use]
     pub fn walk(guest: &dyn WalkSource, ept: &mut Ept, va: VirtAddr) -> NestedWalkTrace {
         let mut steps = Vec::with_capacity(24);
+        let outcome = Self::walk_into(guest, ept, va, &mut steps);
+        NestedWalkTrace { va, steps, outcome }
+    }
+
+    /// [`NestedWalker::walk`] into a caller-owned step buffer, cleared
+    /// first: the allocation-free form the nested MMU reuses across walks.
+    pub fn walk_into(
+        guest: &dyn WalkSource,
+        ept: &mut Ept,
+        va: VirtAddr,
+        steps: &mut Vec<NestedStep>,
+    ) -> NestedOutcome {
+        steps.clear();
         if !guest.mode().contains(va) {
-            return NestedWalkTrace {
-                va,
-                steps,
-                outcome: NestedOutcome::GuestFault {
-                    level: guest.mode().root_level(),
-                },
+            return NestedOutcome::GuestFault {
+                level: guest.mode().root_level(),
             };
         }
         let gwalk = guest.walk_fixed(va);
@@ -136,13 +145,9 @@ impl NestedWalker {
             // Guest-physical address of the gPT entry to read.
             let entry_gpa = gstep.entry_addr;
             // 1D host walk translating that gPA (accesses 1-4, 6-9, ...).
-            let Some(entry_hpa) = Self::host_1d(ept, entry_gpa, Some(g_level), &mut steps) else {
-                return NestedWalkTrace {
-                    va,
-                    steps,
-                    outcome: NestedOutcome::HostFault {
-                        for_guest_level: Some(g_level),
-                    },
+            let Some(entry_hpa) = Self::host_1d(ept, entry_gpa, Some(g_level), steps) else {
+                return NestedOutcome::HostFault {
+                    for_guest_level: Some(g_level),
                 };
             };
             // The gPT node read itself (access 5, 10, 15, 20).
@@ -156,13 +161,10 @@ impl NestedWalker {
                 entry,
             });
             if !entry.is_present() {
-                return NestedWalkTrace {
-                    va,
-                    steps,
-                    outcome: NestedOutcome::GuestFault { level: g_level },
-                };
+                return NestedOutcome::GuestFault { level: g_level };
             }
             if g_level == PtLevel::Pl1 || entry.is_large_leaf() {
+                #[expect(clippy::expect_used, reason = "only PL1-PL3 leaves get here")]
                 let size =
                     asap_types::PageSize::from_leaf_level(g_level).expect("leaf at PL1/PL2/PL3");
                 let guest_t = Translation {
@@ -172,22 +174,14 @@ impl NestedWalker {
                 };
                 // Final host walk for the data address (accesses 21-24).
                 let data_gpa = guest_t.phys_addr(va);
-                let Some(data_hpa) = Self::host_1d(ept, data_gpa, None, &mut steps) else {
-                    return NestedWalkTrace {
-                        va,
-                        steps,
-                        outcome: NestedOutcome::HostFault {
-                            for_guest_level: None,
-                        },
+                let Some(data_hpa) = Self::host_1d(ept, data_gpa, None, steps) else {
+                    return NestedOutcome::HostFault {
+                        for_guest_level: None,
                     };
                 };
-                return NestedWalkTrace {
-                    va,
-                    steps,
-                    outcome: NestedOutcome::Mapped {
-                        guest: guest_t,
-                        data_hpa,
-                    },
+                return NestedOutcome::Mapped {
+                    guest: guest_t,
+                    data_hpa,
                 };
             }
         }

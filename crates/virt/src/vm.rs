@@ -1,6 +1,6 @@
 //! A virtual machine: guest process behind a nested page table.
 
-use crate::{Ept, EptConfig, NestedWalkTrace, NestedWalker};
+use crate::{Ept, EptConfig, NestedOutcome, NestedStep, NestedWalkTrace, NestedWalker};
 use asap_os::{OsError, Process, ProcessConfig, TouchOutcome, VmaDescriptor};
 use asap_types::{PhysAddr, PtLevel, VirtAddr};
 
@@ -62,6 +62,11 @@ impl VirtualMachine {
     #[must_use]
     pub fn nested_walk(&mut self, va: VirtAddr) -> NestedWalkTrace {
         NestedWalker::walk(self.guest.flat_mirror(), &mut self.ept, va)
+    }
+
+    /// [`VirtualMachine::nested_walk`] into a reused step buffer.
+    pub fn nested_walk_into(&mut self, va: VirtAddr, steps: &mut Vec<NestedStep>) -> NestedOutcome {
+        NestedWalker::walk_into(self.guest.flat_mirror(), &mut self.ept, va, steps)
     }
 
     /// The guest's ASAP VMA descriptors. Thanks to the §3.6 vmcall

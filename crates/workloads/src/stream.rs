@@ -69,6 +69,7 @@ impl Ranges {
     ///
     /// Panics if `index` is out of range.
     #[must_use]
+    #[expect(clippy::panic, reason = "an out-of-range index (# Panics)")]
     pub fn page(&self, index: u64) -> VirtAddr {
         let mut remaining = index;
         for (start, len) in &self.spans {
