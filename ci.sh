@@ -23,6 +23,18 @@ run() {
 ASAP="cargo run --release -q -p asap-bench --bin asap --"
 
 invariant_gate() {
+    # The radix page-table model in asap-pt-test-util is a test oracle for
+    # the flat page table, not a second store: only tests, benches and
+    # examples (dev-dependencies) may use it. Inverting the normal-edge
+    # dependency tree on it must name nothing but the oracle itself.
+    echo
+    echo "==> cargo tree --workspace -e normal -i asap-pt-test-util"
+    oracle_users="$(cargo tree --offline --workspace -e normal -i asap-pt-test-util --prefix none)"
+    echo "$oracle_users"
+    if echo "$oracle_users" | grep -qv '^asap-pt-test-util '; then
+        echo "oracle gate FAILED: a library or binary crate depends on asap-pt-test-util"
+        exit 1
+    fi
     # Invariant gate: clippy over the library and binary targets of the
     # first-party crates (the vendored shims are excluded), warnings denied.
     # - Determinism: clippy.toml's disallowed-types (std HashMap/HashSet,

@@ -3,7 +3,7 @@
 use asap_alloc::{BuddyAllocator, FrameAllocator, ScatterAllocator, ScatterConfig};
 use asap_cache::{CacheHierarchy, HierarchyConfig};
 use asap_os::feistel_permute;
-use asap_pt::{BumpNodeAllocator, PageTable, PteFlags, SimPhysMem, Walker};
+use asap_pt::{BumpNodeAllocator, FlatMirror, PteFlags, WalkSource};
 use asap_tlb::{PageWalkCaches, PwcConfig, Tlb, TlbConfig, TlbEntry};
 use asap_types::{Asid, CacheLineAddr, PageSize, PagingMode, PhysFrameNum, VirtAddr, VirtPageNum};
 use asap_workloads::{AccessStream, CoRunner, UniformStream};
@@ -129,38 +129,35 @@ fn tlb_lookup(c: &mut Criterion) {
 
 fn page_walk(c: &mut Criterion) {
     let mut g = c.benchmark_group("components/walk");
-    let mut mem = SimPhysMem::new();
     let mut alloc = BumpNodeAllocator::new(PhysFrameNum::new(0x1000));
-    let mut pt = PageTable::new(PagingMode::FourLevel, &mut mem, &mut alloc);
+    let mut table = FlatMirror::new(PagingMode::FourLevel, &mut alloc);
     for i in 0..4096u64 {
-        pt.map(
-            &mut mem,
-            &mut alloc,
-            VirtAddr::new(i << 12).unwrap(),
-            PhysFrameNum::new(i + 10),
-            PageSize::Size4K,
-            PteFlags::user_data(),
-        )
-        .unwrap();
+        table
+            .map(
+                &mut alloc,
+                VirtAddr::new(i << 12).unwrap(),
+                PhysFrameNum::new(i + 10),
+                PageSize::Size4K,
+                PteFlags::user_data(),
+            )
+            .unwrap();
     }
+    // The walk the timing model runs on a TLB miss: the full node trace.
     let mut i = 0u64;
-    g.bench_function("software_walk", |b| {
+    g.bench_function("flat_walk_fixed", |b| {
         b.iter(|| {
             i = (i + 97) % 4096;
-            Walker::walk(&mem, &pt, VirtAddr::new(i << 12).unwrap())
+            table.walk_fixed(VirtAddr::new(i << 12).unwrap())
         })
     });
 
-    // The same table through the flat arena mirror — the descent the hot
-    // loop actually runs. Same stride as `software_walk`, so the two rows
-    // are directly comparable.
-    let mut mirror = asap_pt::FlatMirror::new(&pt);
-    mirror.rebuild(&mem, &pt);
+    // The same descent without the trace. Same stride as
+    // `flat_walk_fixed`, so the two rows are directly comparable.
     let mut k = 0u64;
     g.bench_function("flat_translate", |b| {
         b.iter(|| {
             k = (k + 97) % 4096;
-            mirror.translate(VirtAddr::new(k << 12).unwrap())
+            table.translate(VirtAddr::new(k << 12).unwrap())
         })
     });
     g.finish();

@@ -43,7 +43,7 @@
 //! let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
 //! mmu.load_context(process.vma_descriptors());
 //!
-//! let out = mmu.translate(process.mem(), process.page_table(), process.asid(), va, None);
+//! let out = mmu.translate(process.flat_mirror(), process.asid(), va, None);
 //! assert!(matches!(out.path, TranslationPath::Walk));
 //! let walk = out.walk.unwrap();
 //! assert!(walk.prefetches_issued > 0);

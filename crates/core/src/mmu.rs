@@ -6,7 +6,7 @@ use crate::{
 };
 use asap_cache::HierarchyStats;
 use asap_os::Process;
-use asap_pt::{PageTable, RadixSource, SimPhysMem, Translation, WalkSource, MAX_WALK_DEPTH};
+use asap_pt::{Translation, WalkSource, MAX_WALK_DEPTH};
 use asap_tlb::{ClusteredTlb, PageWalkCaches, TlbEntry, TlbLevel, TlbStats};
 use asap_types::{Asid, CacheLineAddr, PageSize, PhysAddr, PtLevel, VirtAddr};
 
@@ -172,23 +172,11 @@ impl Mmu {
     /// hierarchy, and all fills. Advances the hierarchy clock by the
     /// translation latency.
     ///
-    /// `cluster` supplies PTE-cluster contents for the clustered-TLB fill;
-    /// pass `None` when the clustered TLB is disabled.
+    /// `src` is the page table the walker reads: the process's
+    /// [`asap_pt::FlatMirror`], or any other [`WalkSource`]. `cluster`
+    /// supplies PTE-cluster contents for the clustered-TLB fill; pass `None`
+    /// when the clustered TLB is disabled.
     pub fn translate(
-        &mut self,
-        mem: &SimPhysMem,
-        pt: &PageTable,
-        asid: Asid,
-        va: VirtAddr,
-        cluster: Option<&dyn ClusterSource>,
-    ) -> AccessOutcome {
-        self.translate_via(&RadixSource { mem, pt }, asid, va, cluster)
-    }
-
-    /// [`Mmu::translate`] over any [`WalkSource`] — the hot path hands a
-    /// [`asap_pt::FlatMirror`] here; the radix table is the cold-path /
-    /// reference source.
-    pub fn translate_via(
         &mut self,
         src: &dyn WalkSource,
         asid: Asid,
@@ -415,9 +403,7 @@ impl TranslationEngine for Mmu {
             .clustered
             .is_some()
             .then_some(&*machine as &dyn ClusterSource);
-        // Hot path: walk the process's flat mirror instead of the radix
-        // table. The differential tests pin the two to identical traces.
-        let out = self.translate_via(machine.flat_mirror(), machine.asid(), va, cluster);
+        let out = self.translate(machine.flat_mirror(), machine.asid(), va, cluster);
         EngineOutcome {
             path: out.path,
             latency: out.latency,
@@ -509,11 +495,11 @@ mod tests {
         let va = heap_va(&p, 0);
         p.touch(va).unwrap();
         let mut mmu = Mmu::new(MmuConfig::default());
-        let first = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+        let first = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         assert_eq!(first.path, TranslationPath::Walk);
         assert!(first.latency > 0);
         assert_eq!(first.phys, p.translate(va).map(|t| t.phys_addr(va)));
-        let second = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+        let second = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         assert_eq!(second.path, TranslationPath::TlbL1);
         assert_eq!(second.latency, 0);
         assert_eq!(mmu.walk_stats().count(), 1);
@@ -525,7 +511,7 @@ mod tests {
         let va = heap_va(&p, 0);
         p.touch(va).unwrap();
         let mut mmu = Mmu::new(MmuConfig::default());
-        let out = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+        let out = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         let walk = out.walk.unwrap();
         // Cold caches, cold PWC: 2 (PWC probe) + 4 × 191 (memory).
         assert_eq!(walk.latency, 2 + 4 * 191);
@@ -540,8 +526,8 @@ mod tests {
         p.touch(a).unwrap();
         p.touch(b).unwrap();
         let mut mmu = Mmu::new(MmuConfig::default());
-        let _ = mmu.translate(p.mem(), p.page_table(), p.asid(), a, None);
-        let out = mmu.translate(p.mem(), p.page_table(), p.asid(), b, None);
+        let _ = mmu.translate(p.flat_mirror(), p.asid(), a, None);
+        let out = mmu.translate(p.flat_mirror(), p.asid(), b, None);
         let walk = out.walk.unwrap();
         // PL4..PL2 served by PWC, only PL1 touches the hierarchy.
         let pwc_count = walk
@@ -565,13 +551,13 @@ mod tests {
         p.touch(va).unwrap();
         let mut base_mmu = Mmu::new(MmuConfig::default());
         let base = base_mmu
-            .translate(p.mem(), p.page_table(), p.asid(), va, None)
+            .translate(p.flat_mirror(), p.asid(), va, None)
             .walk
             .unwrap();
         let mut asap_mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
         asap_mmu.load_context(p.vma_descriptors());
         let asap = asap_mmu
-            .translate(p.mem(), p.page_table(), p.asid(), va, None)
+            .translate(p.flat_mirror(), p.asid(), va, None)
             .walk
             .unwrap();
         assert_eq!(asap.prefetches_issued, 2);
@@ -607,8 +593,8 @@ mod tests {
         p.touch(b).unwrap();
         let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
         mmu.load_context(p.vma_descriptors());
-        let _ = mmu.translate(p.mem(), p.page_table(), p.asid(), a, None);
-        let out = mmu.translate(p.mem(), p.page_table(), p.asid(), b, None);
+        let _ = mmu.translate(p.flat_mirror(), p.asid(), a, None);
+        let out = mmu.translate(p.flat_mirror(), p.asid(), b, None);
         let walk = out.walk.unwrap();
         assert!(
             walk.sources
@@ -634,7 +620,7 @@ mod tests {
         let va = heap_va(&p, 0);
         p.touch(va).unwrap();
         let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-        let out = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+        let out = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         let walk = out.walk.unwrap();
         assert_eq!(walk.prefetches_issued, 0);
         assert_eq!(walk.latency, 2 + 4 * 191);
@@ -651,8 +637,8 @@ mod tests {
         let mut asap_mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
         asap_mmu.load_context(p.vma_descriptors());
         for va in &vas {
-            let b = base_mmu.translate(p.mem(), p.page_table(), p.asid(), *va, None);
-            let a = asap_mmu.translate(p.mem(), p.page_table(), p.asid(), *va, None);
+            let b = base_mmu.translate(p.flat_mirror(), p.asid(), *va, None);
+            let a = asap_mmu.translate(p.flat_mirror(), p.asid(), *va, None);
             assert_eq!(b.phys, a.phys, "ASAP must be invisible architecturally");
         }
     }
@@ -672,12 +658,12 @@ mod tests {
         }
         let mut mmu = Mmu::new(MmuConfig::default().with_clustered_tlb());
         // Walk the first page; the fill coalesces the whole cluster.
-        let first = mmu.translate(p.mem(), p.page_table(), p.asid(), vas[0], Some(&p));
+        let first = mmu.translate(p.flat_mirror(), p.asid(), vas[0], Some(&p));
         assert_eq!(first.path, TranslationPath::Walk);
         // A *different* page of the same cluster: clustered TLB hit, not a
         // walk — but only after it misses L1/L2 TLBs (it was never filled
         // there). It must yield the correct frame.
-        let second = mmu.translate(p.mem(), p.page_table(), p.asid(), vas[5], Some(&p));
+        let second = mmu.translate(p.flat_mirror(), p.asid(), vas[5], Some(&p));
         assert_eq!(second.path, TranslationPath::ClusteredTlb);
         assert_eq!(
             second.phys,
@@ -691,7 +677,7 @@ mod tests {
         let p = process(AsapOsConfig::disabled());
         let va = heap_va(&p, 0); // never touched
         let mut mmu = Mmu::new(MmuConfig::default());
-        let out = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+        let out = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         assert_eq!(out.phys, None);
         assert!(out.walk.unwrap().fault);
         assert_eq!(mmu.walk_faults(), 1);
@@ -713,12 +699,12 @@ mod tests {
         let va = heap_va(&p, 0);
         p.touch(va).unwrap();
         let mut mmu = Mmu::new(MmuConfig::default());
-        let _ = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+        let _ = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         mmu.reset_stats();
         assert_eq!(mmu.walk_stats().count(), 0);
         assert_eq!(mmu.l2_tlb_stats().accesses(), 0);
         // Contents stay warm: the next access is still a TLB hit.
-        let out = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+        let out = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         assert_eq!(out.path, TranslationPath::TlbL1);
     }
 
@@ -740,7 +726,7 @@ mod tests {
         let mut engine = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
         TranslationEngine::load_context(&mut engine, &p2);
         for va in &vas {
-            let a = inherent.translate(p1.mem(), p1.page_table(), p1.asid(), *va, None);
+            let a = inherent.translate(p1.flat_mirror(), p1.asid(), *va, None);
             let b = engine.translate_access(&mut p2, *va);
             assert_eq!(a.path, b.path);
             assert_eq!(a.latency, b.latency);

@@ -465,13 +465,7 @@ mod tests {
         nested.load_context(&vm);
         let nested_out = nested.translate(&mut vm, va);
         let mut native = crate::Mmu::new(crate::MmuConfig::default());
-        let native_out = native.translate(
-            vm.guest().mem(),
-            vm.guest().page_table(),
-            vm.guest().asid(),
-            va,
-            None,
-        );
+        let native_out = native.translate(vm.guest().flat_mirror(), vm.guest().asid(), va, None);
         assert!(nested_out.latency > 3 * native_out.latency);
     }
 

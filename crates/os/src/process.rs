@@ -6,10 +6,7 @@ use crate::{
     VmaDescriptor, VmaId, VmaKind, VmaTree,
 };
 use asap_alloc::{ScatterAllocator, ScatterConfig};
-use asap_pt::Translation;
-use asap_pt::{
-    FixedWalk, FlatMirror, PageTable, PtCensus, PteFlags, SimPhysMem, WalkSource, WalkTrace,
-};
+use asap_pt::{FixedWalk, FlatMirror, PtCensus, PteFlags, Translation, WalkSource, WalkTrace};
 use asap_types::{Asid, ByteSize, PageSize, PagingMode, PhysFrameNum, VirtAddr, VirtPageNum};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -135,11 +132,9 @@ pub enum TouchOutcome {
 pub struct Process {
     asid: Asid,
     phys: PhysMap,
-    mem: SimPhysMem,
     vmas: VmaTree,
-    pt: PageTable,
-    /// Derived flat index over `pt`; faults map through it into `mem` and
-    /// the index together. The radix table in `mem` stays the ground truth.
+    /// The page table: demand faults map into it, walks and the census
+    /// read it.
     flat: FlatMirror,
     reservations: ReservationSet,
     scatter: ScatterAllocator,
@@ -182,9 +177,7 @@ impl Process {
             inner: &mut scatter,
             base: pt_base,
         };
-        let mut mem = SimPhysMem::new();
-        let pt = PageTable::new(config.paging_mode, &mut mem, &mut rebased);
-        let flat = FlatMirror::new(&pt);
+        let flat = FlatMirror::new(config.paging_mode, &mut rebased);
 
         let mut reservations = ReservationSet::new(phys);
         let mut data_index_base = vec![0; ids.len()];
@@ -205,9 +198,7 @@ impl Process {
         let mut process = Self {
             asid: config.asid,
             phys,
-            mem,
             vmas,
-            pt,
             flat,
             reservations,
             scatter,
@@ -290,7 +281,6 @@ impl Process {
             asap_levels: &self.asap.levels,
         };
         self.flat.map(
-            &mut self.mem,
             &mut placer,
             va.page_base(),
             frame,
@@ -319,7 +309,7 @@ impl Process {
         self.flat.walk_fixed(va)
     }
 
-    /// The flat walk index mirroring this process' page table.
+    /// This process' page table.
     #[must_use]
     pub fn flat_mirror(&self) -> &FlatMirror {
         &self.flat
@@ -398,18 +388,6 @@ impl Process {
         &self.vmas
     }
 
-    /// The page table.
-    #[must_use]
-    pub fn page_table(&self) -> &PageTable {
-        &self.pt
-    }
-
-    /// The simulated physical memory holding the PT.
-    #[must_use]
-    pub fn mem(&self) -> &SimPhysMem {
-        &self.mem
-    }
-
     /// Demand faults taken so far.
     #[must_use]
     pub fn fault_count(&self) -> u64 {
@@ -432,7 +410,7 @@ impl Process {
     /// Collects the PT census (Table 2 inputs).
     #[must_use]
     pub fn census(&self) -> PtCensus {
-        PtCensus::collect(&self.mem, &self.pt)
+        PtCensus::collect(&self.flat)
     }
 }
 

@@ -6,7 +6,7 @@
 //! physical regions the PT pages occupy under the stock buddy allocator
 //! (Table 2). [`PtCensus`] computes both from a live simulated page table.
 
-use crate::{PageTable, SimPhysMem};
+use crate::FlatMirror;
 use asap_types::{ByteSize, PhysFrameNum, PtLevel, PTE_SIZE};
 
 /// Contiguity statistics over a set of physical frames.
@@ -68,32 +68,32 @@ pub struct PtCensus {
     pub pages: [u64; 5],
     /// Present entries per level.
     pub entries: [u64; 5],
-    /// Frames backing each level, for contiguity analysis.
+    /// Frames backing each level (sorted), for contiguity analysis.
     frames_per_level: [Vec<PhysFrameNum>; 5],
 }
 
 impl PtCensus {
-    /// Collects a census by traversing the radix tree from the root.
+    /// Collects the census of `table`.
     #[must_use]
-    pub fn collect(mem: &SimPhysMem, pt: &PageTable) -> Self {
+    pub fn collect(table: &FlatMirror) -> Self {
+        Self::from_nodes(table.nodes())
+    }
+
+    /// Builds a census from every node of a table as `(level, frame,
+    /// present entries)`, in any order: each level's frames are kept
+    /// sorted, so censuses of the same table compare equal whatever order
+    /// their nodes came in.
+    #[must_use]
+    pub fn from_nodes(nodes: impl IntoIterator<Item = (PtLevel, PhysFrameNum, u64)>) -> Self {
         let mut census = Self::default();
-        let root_level = pt.mode().root_level();
-        let mut stack: Vec<(PhysFrameNum, PtLevel)> = vec![(pt.root(), root_level)];
-        while let Some((frame, level)) = stack.pop() {
+        for (level, frame, entries) in nodes {
             let idx = (level.depth() - 1) as usize;
             census.pages[idx] += 1;
+            census.entries[idx] += entries;
             census.frames_per_level[idx].push(frame);
-            let Some(node) = mem.table_frame(frame) else {
-                continue;
-            };
-            for (_, entry) in node.iter_present() {
-                census.entries[idx] += 1;
-                if level != PtLevel::Pl1 && !entry.is_large_leaf() {
-                    #[expect(clippy::expect_used, reason = "only non-PL1 levels get here")]
-                    let child_level = level.child().expect("non-leaf");
-                    stack.push((entry.frame(), child_level));
-                }
-            }
+        }
+        for frames in &mut census.frames_per_level {
+            frames.sort_unstable();
         }
         census
     }
@@ -150,6 +150,11 @@ mod tests {
     use crate::{BumpNodeAllocator, PteFlags};
     use asap_types::{PageSize, PagingMode, VirtAddr};
 
+    fn table(first_frame: u64) -> (FlatMirror, BumpNodeAllocator) {
+        let mut alloc = BumpNodeAllocator::new(PhysFrameNum::new(first_frame));
+        (FlatMirror::new(PagingMode::FourLevel, &mut alloc), alloc)
+    }
+
     #[test]
     fn contig_stats_basics() {
         let f = |xs: &[u64]| {
@@ -168,14 +173,11 @@ mod tests {
 
     #[test]
     fn census_counts_match_small_table() {
-        let mut mem = SimPhysMem::new();
-        let mut alloc = BumpNodeAllocator::new(PhysFrameNum::new(0x100));
-        let mut pt = PageTable::new(PagingMode::FourLevel, &mut mem, &mut alloc);
+        let (mut pt, mut alloc) = table(0x100);
         // Map 3 pages in one 2 MiB region and 1 page in another 1 GiB region.
         let base = VirtAddr::new(0x10_0000_0000).unwrap();
         for i in 0..3u64 {
             pt.map(
-                &mut mem,
                 &mut alloc,
                 base.checked_add(i * 0x1000).unwrap(),
                 PhysFrameNum::new(100 + i),
@@ -186,7 +188,6 @@ mod tests {
         }
         let far = VirtAddr::new(0x10_4000_0000).unwrap();
         pt.map(
-            &mut mem,
             &mut alloc,
             far,
             PhysFrameNum::new(200),
@@ -195,7 +196,7 @@ mod tests {
         )
         .unwrap();
 
-        let c = PtCensus::collect(&mem, &pt);
+        let c = PtCensus::collect(&pt);
         assert_eq!(c.pages_at(PtLevel::Pl4), 1);
         assert_eq!(c.pages_at(PtLevel::Pl3), 1); // both VAs share the PL4 entry
         assert_eq!(c.pages_at(PtLevel::Pl2), 2); // different 1 GiB regions
@@ -209,11 +210,8 @@ mod tests {
 
     #[test]
     fn census_skips_large_page_leaves() {
-        let mut mem = SimPhysMem::new();
-        let mut alloc = BumpNodeAllocator::new(PhysFrameNum::new(0x100));
-        let mut pt = PageTable::new(PagingMode::FourLevel, &mut mem, &mut alloc);
+        let (mut pt, mut alloc) = table(0x100);
         pt.map(
-            &mut mem,
             &mut alloc,
             VirtAddr::new(0x4000_0000).unwrap(),
             PhysFrameNum::new(512),
@@ -221,7 +219,7 @@ mod tests {
             PteFlags::user_data(),
         )
         .unwrap();
-        let c = PtCensus::collect(&mem, &pt);
+        let c = PtCensus::collect(&pt);
         assert_eq!(c.pages_at(PtLevel::Pl1), 0, "no PL1 page under a 2MiB leaf");
         assert_eq!(c.entries_at(PtLevel::Pl2), 1);
         assert_eq!(c.total_pages(), 3);
@@ -229,16 +227,13 @@ mod tests {
 
     #[test]
     fn paper_footprint_shape_for_dense_region() {
-        // Map a dense 512 MiB region (131072 pages) and check the PL1/PL2
-        // footprint ratio is 512:1, the paper's geometric shape.
-        let mut mem = SimPhysMem::new();
-        let mut alloc = BumpNodeAllocator::new(PhysFrameNum::new(0x10_0000));
-        let mut pt = PageTable::new(PagingMode::FourLevel, &mut mem, &mut alloc);
+        // Map a dense 32 MiB region and check the PL1/PL2 footprint ratio is
+        // 512:1, the paper's geometric shape.
+        let (mut pt, mut alloc) = table(0x10_0000);
         let base = VirtAddr::new(0x40_0000_0000).unwrap();
         let pages = 512 * 16; // 16 full PL1 tables = 32 MiB
         for i in 0..pages {
             pt.map(
-                &mut mem,
                 &mut alloc,
                 base.checked_add(i * 0x1000).unwrap(),
                 PhysFrameNum::new(i),
@@ -247,7 +242,7 @@ mod tests {
             )
             .unwrap();
         }
-        let c = PtCensus::collect(&mem, &pt);
+        let c = PtCensus::collect(&pt);
         assert_eq!(c.pages_at(PtLevel::Pl1), 16);
         assert_eq!(c.entries_at(PtLevel::Pl1), pages);
         assert_eq!(c.entries_at(PtLevel::Pl2), 16);

@@ -2,7 +2,7 @@
 
 use asap_types::{PtLevel, VirtAddr};
 
-/// Errors returned by [`crate::PageTable`] operations.
+/// Errors returned by page-table operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PtError {
     /// The virtual address is outside the paging mode's address width.

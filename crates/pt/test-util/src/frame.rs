@@ -1,6 +1,6 @@
 //! Sparse storage for one page-table page (512 entries).
 
-use crate::Pte;
+use asap_pt::Pte;
 use asap_types::ENTRIES_PER_TABLE;
 
 /// Threshold (in populated entries) at which a frame's representation is
@@ -30,7 +30,8 @@ enum Repr {
 /// # Examples
 ///
 /// ```
-/// use asap_pt::{PtFrame, Pte, PteFlags};
+/// use asap_pt::{Pte, PteFlags};
+/// use asap_pt_test_util::PtFrame;
 /// use asap_types::PhysFrameNum;
 ///
 /// let mut frame = PtFrame::new();
@@ -157,7 +158,7 @@ impl Default for PtFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PteFlags;
+    use asap_pt::PteFlags;
     use asap_types::PhysFrameNum;
 
     fn pte(n: u64) -> Pte {

@@ -1,12 +1,37 @@
-//! Shared test helpers for asserting on physical frame layout.
+//! Test oracles for the page-table crates.
 //!
-//! Lives beside `asap-pt` (whose census computes the same metric on live
-//! page tables) but depends on nothing, so any crate — including ones
-//! upstream of `asap-pt` such as `asap-alloc` — can use it as a
-//! dev-dependency without creating a cycle.
+//! * [`contiguity`] — runs of consecutive frames in a frame set, for
+//!   assertions on physical layout (the census computes the same metric on
+//!   live page tables).
+//! * The radix page-table model: [`PageTable`] over [`SimPhysMem`], sparse
+//!   simulated physical memory holding page-table pages ([`PtFrame`]), and
+//!   [`Walker`], a software page walker that reads every entry from that
+//!   memory by address. It was the simulator's page-table store until
+//!   [`asap_pt::FlatMirror`] became the only one, and stays as the
+//!   independent reference the differential tests compare the flat table
+//!   against: [`RadixSource`] puts it behind the same
+//!   [`asap_pt::WalkSource`] seam, [`mirror_of`] copies it into a flat
+//!   table (and [`sync_va`] one new leaf at a time), and [`radix_of`]
+//!   copies a flat table's translations into it, each keeping every node
+//!   in its frame.
+//!
+//! Only tests, benches and examples may depend on this crate: `ci.sh` fails
+//! when a library or binary crate has a normal dependency on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod flat;
+mod frame;
+mod phys_mem;
+mod table;
+mod walker;
+
+pub use flat::{mirror_of, radix_of, sync_va, RadixSource, ReplayPlacer};
+pub use frame::PtFrame;
+pub use phys_mem::SimPhysMem;
+pub use table::PageTable;
+pub use walker::Walker;
 
 /// Returns `(contiguous_regions, mean_run_length)` for a set of frame
 /// numbers: the number of maximal runs of consecutive frames, and the

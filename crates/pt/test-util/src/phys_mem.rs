@@ -1,6 +1,7 @@
 //! Sparse simulated physical memory for page-table pages.
 
-use crate::{PtFrame, Pte};
+use crate::PtFrame;
+use asap_pt::Pte;
 use asap_types::FastMap;
 use asap_types::{PhysAddr, PhysFrameNum, PTE_SIZE};
 
@@ -14,7 +15,8 @@ use asap_types::{PhysAddr, PhysFrameNum, PTE_SIZE};
 /// # Examples
 ///
 /// ```
-/// use asap_pt::{Pte, PteFlags, SimPhysMem};
+/// use asap_pt::{Pte, PteFlags};
+/// use asap_pt_test_util::SimPhysMem;
 /// use asap_types::{PhysAddr, PhysFrameNum};
 ///
 /// let mut mem = SimPhysMem::new();
@@ -110,18 +112,12 @@ impl SimPhysMem {
             .iter()
             .map(|(&raw, f)| (PhysFrameNum::new(raw), f))
     }
-
-    /// Approximate host-side bytes used by materialized frames (diagnostic).
-    #[must_use]
-    pub fn approx_host_bytes(&self) -> usize {
-        self.frames.values().map(|f| 64 + f.populated() * 24).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PteFlags;
+    use asap_pt::PteFlags;
 
     #[test]
     fn read_from_void_is_not_present() {

@@ -1,83 +1,15 @@
-//! The radix-tree page table: map, unmap, translate.
+//! The radix-tree page table: map, unmap, translate, census.
 
-use crate::{PtError, Pte, PteFlags, SimPhysMem};
+use crate::SimPhysMem;
+use asap_pt::{PtCensus, PtError, PtNodeAllocator, Pte, PteFlags, Translation};
 use asap_types::{PageSize, PagingMode, PhysAddr, PhysFrameNum, PtLevel, VirtAddr, PTE_SIZE};
-
-/// Chooses physical frames for new page-table nodes.
-///
-/// This is the policy hook at the heart of the reproduction: the paper's OS
-/// extension (§3.3) is *exactly* a page-table node placement policy. The
-/// baseline implementation scatters nodes like the Linux buddy allocator;
-/// the ASAP implementation places PL1/PL2 nodes in reserved, contiguous,
-/// virtually-sorted regions. Both live in `asap-os`; this crate only defines
-/// the interface plus a trivial bump allocator for tests and examples.
-pub trait PtNodeAllocator {
-    /// Returns a fresh, zeroed frame for a node at `level` that will map the
-    /// virtual region containing `va`.
-    fn alloc_node(&mut self, level: PtLevel, va: VirtAddr) -> PhysFrameNum;
-
-    /// Returns a frame no longer needed by the page table.
-    ///
-    /// The default implementation leaks the frame, which is acceptable for
-    /// short-lived simulations.
-    fn free_node(&mut self, level: PtLevel, frame: PhysFrameNum) {
-        let _ = (level, frame);
-    }
-}
-
-/// A sequential node allocator for tests, examples and micro-benchmarks.
-#[derive(Debug, Clone)]
-pub struct BumpNodeAllocator {
-    next: u64,
-}
-
-impl BumpNodeAllocator {
-    /// Creates an allocator handing out frames from `start` upward.
-    #[must_use]
-    pub fn new(start: PhysFrameNum) -> Self {
-        Self { next: start.raw() }
-    }
-
-    /// The next frame that would be returned.
-    #[must_use]
-    pub fn peek(&self) -> PhysFrameNum {
-        PhysFrameNum::new(self.next)
-    }
-}
-
-impl PtNodeAllocator for BumpNodeAllocator {
-    fn alloc_node(&mut self, _level: PtLevel, _va: VirtAddr) -> PhysFrameNum {
-        let f = PhysFrameNum::new(self.next);
-        self.next += 1;
-        f
-    }
-}
-
-/// The result of a successful translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Translation {
-    /// Base frame of the mapped page (aligned to `size`).
-    pub frame: PhysFrameNum,
-    /// The mapping's page size.
-    pub size: PageSize,
-    /// Flags of the leaf entry.
-    pub flags: PteFlags,
-}
-
-impl Translation {
-    /// The full physical address for `va` under this translation.
-    #[must_use]
-    pub fn phys_addr(&self, va: VirtAddr) -> PhysAddr {
-        let page_mask = self.size.bytes() - 1;
-        PhysAddr::new(self.frame.base_addr().raw() | (va.raw() & page_mask))
-    }
-}
 
 /// An x86-64 radix-tree page table (4- or 5-level).
 ///
 /// All operations take the backing [`SimPhysMem`] explicitly: the page table
-/// is *data in simulated memory*, just like on hardware, which is what lets
-/// the walker, the caches, and ASAP prefetches all see the same bytes.
+/// is *data in simulated memory*, just like on hardware. Every node is found
+/// by a hash lookup of its frame, independently of the arena links of
+/// [`asap_pt::FlatMirror`], which is what makes it a useful oracle for it.
 #[derive(Debug, Clone, Copy)]
 pub struct PageTable {
     mode: PagingMode,
@@ -244,11 +176,72 @@ impl PageTable {
         }
         None
     }
+
+    /// Every node reachable from the root as `(level, frame, VA base)`,
+    /// depth first.
+    fn nodes(&self, mem: &SimPhysMem) -> Vec<(PtLevel, PhysFrameNum, u64)> {
+        let mut out = Vec::new();
+        let mut stack = vec![(self.mode.root_level(), self.root, 0u64)];
+        while let Some((level, frame, va_base)) = stack.pop() {
+            out.push((level, frame, va_base));
+            let (Some(node), Some(child_level)) = (mem.table_frame(frame), level.child()) else {
+                continue;
+            };
+            for (idx, entry) in node.iter_present() {
+                if !entry.is_large_leaf() {
+                    stack.push((
+                        child_level,
+                        entry.frame(),
+                        va_base | idx << level.index_shift(),
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every present leaf as `(page base VA, translation)`, depth first.
+    #[must_use]
+    pub fn leaves(&self, mem: &SimPhysMem) -> Vec<(VirtAddr, Translation)> {
+        let mut out = Vec::new();
+        for (level, frame, va_base) in self.nodes(mem) {
+            let Some(node) = mem.table_frame(frame) else {
+                continue;
+            };
+            for (idx, entry) in node.iter_present() {
+                if level != PtLevel::Pl1 && !entry.is_large_leaf() {
+                    continue;
+                }
+                if let Some(size) = PageSize::from_leaf_level(level) {
+                    let va = VirtAddr::new_unchecked(va_base | idx << level.index_shift());
+                    let t = Translation {
+                        frame: entry.frame(),
+                        size,
+                        flags: entry.flags(),
+                    };
+                    out.push((va, t));
+                }
+            }
+        }
+        out
+    }
+
+    /// The census of this table, from a traversal of the radix tree.
+    #[must_use]
+    pub fn census(&self, mem: &SimPhysMem) -> PtCensus {
+        PtCensus::from_nodes(self.nodes(mem).into_iter().map(|(level, frame, _)| {
+            let entries = mem
+                .table_frame(frame)
+                .map_or(0, |node| node.populated() as u64);
+            (level, frame, entries)
+        }))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asap_pt::BumpNodeAllocator;
 
     fn setup() -> (SimPhysMem, BumpNodeAllocator, PageTable) {
         let mut mem = SimPhysMem::new();

@@ -1,167 +1,14 @@
-//! A software model of the hardware page-walker state machine.
+//! A software model of the hardware page-walker state machine over the
+//! radix oracle.
 //!
 //! Unlike [`crate::PageTable::translate`], the walker records the physical
-//! address of **every node it touches**, leaf-ward from the root. That trace
-//! is the input to the walk-timing model in `asap-core`: each step becomes a
-//! (possibly PWC-elided, possibly prefetch-overlapped) memory-hierarchy
-//! access, exactly as in the paper's Fig. 4.
+//! address of **every node it touches**, leaf-ward from the root, reading
+//! each entry from [`SimPhysMem`] by address — the reference for
+//! [`asap_pt::FlatMirror`]'s arena walk.
 
-use crate::{PageTable, Pte, SimPhysMem, Translation};
-use asap_types::{PageSize, PhysAddr, PtLevel, VirtAddr};
-
-/// The deepest walk any paging mode performs (5-level paging).
-pub const MAX_WALK_DEPTH: usize = 5;
-
-/// One node access performed by the walker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalkStep {
-    /// The page-table level of the node read.
-    pub level: PtLevel,
-    /// Physical address of the 8-byte entry that was read.
-    pub entry_addr: PhysAddr,
-    /// The entry value observed.
-    pub entry: Pte,
-}
-
-/// Terminal state of a walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalkOutcome {
-    /// The walk found a present leaf.
-    Mapped(Translation),
-    /// The walk hit a not-present entry at the given level (page fault).
-    Fault {
-        /// Level at which the not-present entry was found.
-        level: PtLevel,
-    },
-}
-
-/// The full record of one page walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalkTrace {
-    /// The virtual address that triggered the walk.
-    pub va: VirtAddr,
-    /// Node accesses in walk order (root first). A faulting walk still
-    /// contains the step that read the not-present entry — the hardware
-    /// performs that read before raising the fault, and ASAP accelerates
-    /// fault detection the same way it accelerates successful walks
-    /// (paper §3.7.1).
-    pub steps: Vec<WalkStep>,
-    /// How the walk ended.
-    pub outcome: WalkOutcome,
-}
-
-impl WalkTrace {
-    /// The translation if the walk succeeded.
-    #[must_use]
-    pub fn translation(&self) -> Option<Translation> {
-        match self.outcome {
-            WalkOutcome::Mapped(t) => Some(t),
-            WalkOutcome::Fault { .. } => None,
-        }
-    }
-
-    /// The step that accessed `level`, if the walk got that far.
-    #[must_use]
-    pub fn step_at(&self, level: PtLevel) -> Option<&WalkStep> {
-        self.steps.iter().find(|s| s.level == level)
-    }
-
-    /// Whether the walk faulted.
-    #[must_use]
-    pub fn is_fault(&self) -> bool {
-        matches!(self.outcome, WalkOutcome::Fault { .. })
-    }
-}
-
-/// A walk record with inline step storage: the allocation-free twin of
-/// [`WalkTrace`], used on the simulator hot path where a per-walk `Vec`
-/// would dominate the cost of the walk itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedWalk {
-    va: VirtAddr,
-    steps: [WalkStep; MAX_WALK_DEPTH],
-    len: u8,
-    outcome: WalkOutcome,
-}
-
-impl FixedWalk {
-    const FILLER: WalkStep = WalkStep {
-        level: PtLevel::Pl1,
-        entry_addr: PhysAddr::new(0),
-        entry: Pte::not_present(),
-    };
-
-    /// An empty walk that faulted before touching any node (VA outside the
-    /// paging mode's range).
-    #[must_use]
-    pub(crate) fn empty_fault(va: VirtAddr, level: PtLevel) -> Self {
-        Self {
-            va,
-            steps: [Self::FILLER; MAX_WALK_DEPTH],
-            len: 0,
-            outcome: WalkOutcome::Fault { level },
-        }
-    }
-
-    pub(crate) fn push(&mut self, step: WalkStep) {
-        self.steps[self.len as usize] = step;
-        self.len += 1;
-    }
-
-    pub(crate) fn set_outcome(&mut self, outcome: WalkOutcome) {
-        self.outcome = outcome;
-    }
-
-    /// The virtual address that triggered the walk.
-    #[must_use]
-    pub fn va(&self) -> VirtAddr {
-        self.va
-    }
-
-    /// Node accesses in walk order (root first), as in [`WalkTrace::steps`].
-    #[must_use]
-    pub fn steps(&self) -> &[WalkStep] {
-        &self.steps[..self.len as usize]
-    }
-
-    /// How the walk ended.
-    #[must_use]
-    pub fn outcome(&self) -> WalkOutcome {
-        self.outcome
-    }
-
-    /// The translation if the walk succeeded.
-    #[must_use]
-    pub fn translation(&self) -> Option<Translation> {
-        match self.outcome {
-            WalkOutcome::Mapped(t) => Some(t),
-            WalkOutcome::Fault { .. } => None,
-        }
-    }
-
-    /// The step that accessed `level`, if the walk got that far.
-    #[must_use]
-    pub fn step_at(&self, level: PtLevel) -> Option<&WalkStep> {
-        self.steps().iter().find(|s| s.level == level)
-    }
-
-    /// Whether the walk faulted.
-    #[must_use]
-    pub fn is_fault(&self) -> bool {
-        matches!(self.outcome, WalkOutcome::Fault { .. })
-    }
-
-    /// The heap-allocated [`WalkTrace`] equivalent, for cold paths that
-    /// store or transform traces.
-    #[must_use]
-    pub fn to_trace(&self) -> WalkTrace {
-        WalkTrace {
-            va: self.va,
-            steps: self.steps().to_vec(),
-            outcome: self.outcome,
-        }
-    }
-}
+use crate::{PageTable, SimPhysMem};
+use asap_pt::{FixedWalk, Translation, WalkOutcome, WalkStep, WalkTrace};
+use asap_types::{PageSize, PtLevel, VirtAddr};
 
 /// The page-walker state machine.
 ///
@@ -171,7 +18,8 @@ impl FixedWalk {
 /// # Examples
 ///
 /// ```
-/// use asap_pt::{BumpNodeAllocator, PageTable, PteFlags, SimPhysMem, Walker};
+/// use asap_pt::{BumpNodeAllocator, PteFlags};
+/// use asap_pt_test_util::{PageTable, SimPhysMem, Walker};
 /// use asap_types::{PageSize, PagingMode, PhysFrameNum, PtLevel, VirtAddr};
 ///
 /// let mut mem = SimPhysMem::new();
@@ -287,7 +135,7 @@ impl Walker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BumpNodeAllocator, PteFlags};
+    use asap_pt::{BumpNodeAllocator, PteFlags};
     use asap_types::{PagingMode, PhysFrameNum};
 
     fn setup_mapped() -> (SimPhysMem, PageTable, VirtAddr) {

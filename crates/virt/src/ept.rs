@@ -3,8 +3,7 @@
 use crate::HostPtMap;
 use asap_alloc::{FrameAllocator, ScatterAllocator, ScatterConfig};
 use asap_pt::{
-    FixedWalk, FlatMirror, PageTable, PtCensus, PtError, PtNodeAllocator, PteFlags, SimPhysMem,
-    WalkSource, WalkTrace,
+    FixedWalk, FlatMirror, PtCensus, PtError, PtNodeAllocator, PteFlags, WalkSource, WalkTrace,
 };
 use asap_types::{PageSize, PagingMode, PhysAddr, PhysFrameNum, PtLevel, VirtAddr, INDEX_BITS};
 
@@ -80,11 +79,8 @@ impl EptConfig {
 /// indexing (see DESIGN.md).
 #[derive(Debug)]
 pub struct Ept {
-    mem: SimPhysMem,
-    table: PageTable,
-    /// Derived flat index over `table`; fault-ins map through it into
-    /// `mem` and the index together. The radix table in `mem` stays the
-    /// ground truth.
+    /// The nested table: fault-ins map into it, host walks and the census
+    /// read it.
     flat: FlatMirror,
     scatter: ScatterAllocator,
     config: EptConfig,
@@ -95,7 +91,6 @@ impl Ept {
     /// Creates an empty nested table.
     #[must_use]
     pub fn new(config: EptConfig) -> Self {
-        let mut mem = SimPhysMem::new();
         let mut scatter = ScatterAllocator::new(ScatterConfig {
             mean_run_len: config.scatter_run,
             phys_frames: HostPtMap::SCATTER_WINDOW_FRAMES,
@@ -105,11 +100,8 @@ impl Ept {
             levels: &config.host_levels,
             scatter: &mut scatter,
         };
-        let table = PageTable::new(PagingMode::FourLevel, &mut mem, &mut placer);
-        let flat = FlatMirror::new(&table);
+        let flat = FlatMirror::new(PagingMode::FourLevel, &mut placer);
         Self {
-            mem,
-            table,
             flat,
             scatter,
             config,
@@ -152,14 +144,8 @@ impl Ept {
             levels: &self.config.host_levels,
             scatter: &mut self.scatter,
         };
-        self.flat.map(
-            &mut self.mem,
-            &mut placer,
-            va_base,
-            frame,
-            size,
-            PteFlags::user_data(),
-        )?;
+        self.flat
+            .map(&mut placer, va_base, frame, size, PteFlags::user_data())?;
         self.faults += 1;
         Ok(())
     }
@@ -184,7 +170,7 @@ impl Ept {
         self.flat.walk_fixed(Self::gpa_as_va(gpa))
     }
 
-    /// The flat walk index mirroring the nested table.
+    /// The nested table.
     #[must_use]
     pub fn flat_mirror(&self) -> &FlatMirror {
         &self.flat
@@ -220,19 +206,7 @@ impl Ept {
     /// Census over the host PT (diagnostics / host Table 2 analogue).
     #[must_use]
     pub fn census(&self) -> PtCensus {
-        PtCensus::collect(&self.mem, &self.table)
-    }
-
-    /// The host-PT backing memory (for timing models that need entry reads).
-    #[must_use]
-    pub fn mem(&self) -> &SimPhysMem {
-        &self.mem
-    }
-
-    /// The nested table handle.
-    #[must_use]
-    pub fn table(&self) -> &PageTable {
-        &self.table
+        PtCensus::collect(&self.flat)
     }
 }
 

@@ -219,7 +219,6 @@ mod tests {
     use super::*;
     use crate::EptConfig;
     use asap_os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
-    use asap_pt::RadixSource;
     use asap_types::{Asid, ByteSize};
 
     fn setup(guest_asap: AsapOsConfig, ept_cfg: EptConfig) -> (Process, Ept, VirtAddr) {
@@ -238,14 +237,7 @@ mod tests {
     #[test]
     fn full_2d_walk_is_24_accesses() {
         let (guest, mut ept, va) = setup(AsapOsConfig::disabled(), EptConfig::default());
-        let trace = NestedWalker::walk(
-            &RadixSource {
-                mem: guest.mem(),
-                pt: guest.page_table(),
-            },
-            &mut ept,
-            va,
-        );
+        let trace = NestedWalker::walk(guest.flat_mirror(), &mut ept, va);
         assert!(trace.is_mapped());
         assert_eq!(trace.steps.len(), 24);
         assert_eq!(trace.guest_steps().count(), 4);
@@ -270,14 +262,7 @@ mod tests {
             AsapOsConfig::disabled(),
             EptConfig::default().host_2m_pages(),
         );
-        let trace = NestedWalker::walk(
-            &RadixSource {
-                mem: guest.mem(),
-                pt: guest.page_table(),
-            },
-            &mut ept,
-            va,
-        );
+        let trace = NestedWalker::walk(guest.flat_mirror(), &mut ept, va);
         assert!(trace.is_mapped());
         // 5 host walks of 3 steps + 4 guest reads = 19 accesses
         // (the paper: 2 MiB host pages eliminate "up to five long-latency
@@ -288,14 +273,7 @@ mod tests {
     #[test]
     fn data_hpa_is_identity_backed() {
         let (guest, mut ept, va) = setup(AsapOsConfig::disabled(), EptConfig::default());
-        let trace = NestedWalker::walk(
-            &RadixSource {
-                mem: guest.mem(),
-                pt: guest.page_table(),
-            },
-            &mut ept,
-            va,
-        );
+        let trace = NestedWalker::walk(guest.flat_mirror(), &mut ept, va);
         let data_gpa = guest.translate(va).unwrap().phys_addr(va);
         assert_eq!(trace.data_hpa(), Some(data_gpa));
     }
@@ -305,14 +283,7 @@ mod tests {
         let (guest, mut ept, va) = setup(AsapOsConfig::disabled(), EptConfig::default());
         // An address sharing the PL4/PL3/PL2 chain but with no PL1 mapping.
         let cousin = VirtAddr::new(va.raw() ^ 0x1000).unwrap();
-        let trace = NestedWalker::walk(
-            &RadixSource {
-                mem: guest.mem(),
-                pt: guest.page_table(),
-            },
-            &mut ept,
-            cousin,
-        );
+        let trace = NestedWalker::walk(guest.flat_mirror(), &mut ept, cousin);
         assert_eq!(
             trace.outcome,
             NestedOutcome::GuestFault {
@@ -343,14 +314,7 @@ mod tests {
         let pl1_base = desc.pl1_base.unwrap();
         for region in [0u64, 2, 3] {
             let va = VirtAddr::new(heap.start().raw() + region * (2 << 20)).unwrap();
-            let trace = NestedWalker::walk(
-                &RadixSource {
-                    mem: guest.mem(),
-                    pt: guest.page_table(),
-                },
-                &mut ept,
-                va,
-            );
+            let trace = NestedWalker::walk(guest.flat_mirror(), &mut ept, va);
             let gpt_pl1 = trace
                 .guest_steps()
                 .find(|s| s.level == PtLevel::Pl1)

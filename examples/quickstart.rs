@@ -40,13 +40,9 @@ fn main() {
     asap.load_context(process.vma_descriptors());
 
     for (name, mmu) in [("baseline", &mut baseline), ("ASAP P1+P2", &mut asap)] {
-        let out = mmu.translate(
-            process.mem(),
-            process.page_table(),
-            process.asid(),
-            vas[0],
-            None,
-        );
+        // The walker reads the process's page table, a flat arena of nodes
+        // that each record the physical frame the OS placed them in.
+        let out = mmu.translate(process.flat_mirror(), process.asid(), vas[0], None);
         let walk = out.walk.expect("cold access walks");
         println!("\n{name}: cold walk took {} cycles", walk.latency);
         for (level, src) in &walk.sources {

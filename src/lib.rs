@@ -43,8 +43,7 @@
 //! // An ASAP-enabled MMU: range registers + prefetch on TLB miss.
 //! let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
 //! mmu.load_context(process.vma_descriptors());
-//! let out = mmu.translate(process.mem(), process.page_table(),
-//!                         process.asid(), va, None);
+//! let out = mmu.translate(process.flat_mirror(), process.asid(), va, None);
 //! assert!(out.phys.is_some());
 //! ```
 //!

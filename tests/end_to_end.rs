@@ -142,8 +142,8 @@ fn asap_is_architecturally_invisible_even_with_holes() {
     let mut asap = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
     asap.load_context(p.vma_descriptors());
     for va in &vas {
-        let b = baseline.translate(p.mem(), p.page_table(), p.asid(), *va, None);
-        let a = asap.translate(p.mem(), p.page_table(), p.asid(), *va, None);
+        let b = baseline.translate(p.flat_mirror(), p.asid(), *va, None);
+        let a = asap.translate(p.flat_mirror(), p.asid(), *va, None);
         assert_eq!(b.phys, a.phys, "{va}: ASAP changed a translation");
         assert!(a.phys.is_some());
     }
@@ -202,9 +202,9 @@ fn facade_quickstart_flow() {
     p.touch(va).unwrap();
     let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1()));
     mmu.load_context(p.vma_descriptors());
-    let first = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+    let first = mmu.translate(p.flat_mirror(), p.asid(), va, None);
     assert_eq!(first.path, TranslationPath::Walk);
-    let second = mmu.translate(p.mem(), p.page_table(), p.asid(), va, None);
+    let second = mmu.translate(p.flat_mirror(), p.asid(), va, None);
     assert_eq!(second.path, TranslationPath::TlbL1);
     assert_eq!(second.latency, 0);
 }

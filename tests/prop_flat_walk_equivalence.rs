@@ -1,22 +1,21 @@
-//! The differential harness gating the flat-mirror hot path: for ANY table
-//! layout, the arena-backed [`FlatMirror`] and the authoritative radix
-//! [`Walker`] must agree on every probe — same translation (pa, level via
-//! page size, pte flags) and the same step-by-step walk trace (levels,
-//! entry addresses, observed entries). Only with this pinned is it safe to
-//! retire the radix descent from the simulator inner loop.
+//! The differential harness gating the flat page table: for ANY table
+//! layout, [`FlatMirror`] — the simulator's only page-table store — and the
+//! radix oracle in `asap-pt-test-util` ([`PageTable`] over [`SimPhysMem`],
+//! walked by [`Walker`]) must agree on every probe: the same translation
+//! (pa, level via page size, pte flags), the same step-by-step walk trace
+//! (levels, entry addresses, observed entries), the same node frames and
+//! the same census.
 //!
-//! The demand-fault path maps through [`FlatMirror::map`], which writes the
-//! radix table and the mirror in one descent; a second harness pins it to
-//! the two-pass reference ([`PageTable::map`] followed by
-//! [`FlatMirror::sync_va`]) step by step.
+//! Random map sequences run through [`FlatMirror::map`] on one side and
+//! [`PageTable::map`] on the other; demand-paged processes and nested
+//! tables are compared with an oracle rebuilt from their translations in
+//! their own node frames ([`radix_of`]).
 
 use asap::os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
-use asap::pt::{
-    BumpNodeAllocator, FlatMirror, PageTable, PtNodeAllocator, PteFlags, RadixSource, SimPhysMem,
-    WalkSource, Walker,
-};
+use asap::pt::{BumpNodeAllocator, FlatMirror, PtCensus, PtNodeAllocator, PteFlags, WalkSource};
 use asap::types::{Asid, ByteSize, PageSize, PagingMode, PhysFrameNum, PtLevel, VirtAddr};
 use asap::virt::{Ept, EptConfig, VirtualMachine};
+use asap_pt_test_util::{mirror_of, radix_of, sync_va, PageTable, RadixSource, SimPhysMem, Walker};
 use proptest::prelude::*;
 
 /// One mapping request, built from per-level radix indices so arbitrary
@@ -86,11 +85,17 @@ fn assert_equivalent(
         "translate diverged at {}",
         va
     );
+    prop_assert_eq!(
+        mirror.is_mapped(va),
+        pt.translate(mem, va).is_some(),
+        "residency diverged at {}",
+        va
+    );
     let radix = RadixSource { mem, pt };
     let flat_walk = mirror.walk_fixed(va);
     let radix_walk = radix.walk_fixed(va);
     prop_assert_eq!(flat_walk, radix_walk, "walk trace diverged at {}", va);
-    // The fixed walk itself must agree with the legacy Vec-backed walker.
+    // The fixed walk itself must agree with the Vec-backed walker.
     let legacy = Walker::walk(mem, pt, va);
     prop_assert_eq!(
         flat_walk.to_trace(),
@@ -98,6 +103,18 @@ fn assert_equivalent(
         "fixed/legacy diverged at {}",
         va
     );
+    Ok(())
+}
+
+/// Asserts the flat table holds the oracle's nodes: as many, in the same
+/// frames per level, with the same present entries per level.
+fn assert_same_nodes(
+    mem: &SimPhysMem,
+    pt: &PageTable,
+    mirror: &FlatMirror,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(mirror.node_count(), mem.table_frame_count());
+    prop_assert_eq!(PtCensus::collect(mirror), pt.census(mem));
     Ok(())
 }
 
@@ -218,15 +235,21 @@ fn assert_same_answers(
     Ok(())
 }
 
+/// The request's frame: page-size aligned, distinct per request index.
+fn frame_for(i: usize, size: PageSize) -> PhysFrameNum {
+    PhysFrameNum::new((0x100_000 + i as u64 * 0x4_0000) & !(size.base_pages() - 1))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The one-descent fault path is the two-pass reference, step by step:
+    /// The flat table's one-descent map is the radix map, step by step:
     /// random 4K/2M/1G maps (overlapping, misaligned and out-of-range ones
     /// included) under the bump allocator or an ASAP-shaped placer, through
-    /// `FlatMirror::map` on one table and `PageTable::map` + `sync_va` on a
-    /// twin, return the same results and leave the same radix memory, the
-    /// same mirror answers, and a mirror equal to a rebuild from scratch.
+    /// `FlatMirror::map` on one side and `PageTable::map` on the oracle,
+    /// return the same results and leave the same nodes, entries and
+    /// answers. A second flat table synced from the oracle after each map
+    /// (`sync_va`), and one rebuilt from it (`mirror_of`), answer alike.
     #[test]
     fn flat_map_matches_radix_map_then_sync(
         ops in proptest::collection::vec((map_req(), perturb()), 1..24),
@@ -241,19 +264,17 @@ proptest! {
             Placer::Bump(scatter)
         };
         let mut alloc_b = alloc_a.clone();
-        // Side A: the one-descent path.
-        let mut mem_a = SimPhysMem::new();
-        let pt_a = PageTable::new(mode, &mut mem_a, &mut alloc_a);
-        let mut flat_a = FlatMirror::new(&pt_a);
-        // Side B: radix map, then re-sync the path.
+        // Side A: the flat table, as demand paging writes it.
+        let mut flat_a = FlatMirror::new(mode, &mut alloc_a);
+        // Side B: the radix oracle, and a flat table synced from it.
         let mut mem_b = SimPhysMem::new();
         let mut pt_b = PageTable::new(mode, &mut mem_b, &mut alloc_b);
-        let mut flat_b = FlatMirror::new(&pt_b);
+        let mut flat_b = mirror_of(&mem_b, &pt_b);
         let mut probes = Vec::new();
         for (i, (req, how)) in ops.iter().enumerate() {
             let mut va = req.va();
             let align = req.size.base_pages();
-            let mut frame = PhysFrameNum::new((0x100_000 + i as u64 * 0x4_0000) & !(align - 1));
+            let mut frame = frame_for(i, req.size);
             match how {
                 Perturb::None => {}
                 Perturb::MisalignedVa => {
@@ -267,71 +288,104 @@ proptest! {
                 }
             }
             let flags = PteFlags::user_data();
-            let got = flat_a.map(&mut mem_a, &mut alloc_a, va, frame, req.size, flags);
+            let got = flat_a.map(&mut alloc_a, va, frame, req.size, flags);
             let want = pt_b.map(&mut mem_b, &mut alloc_b, va, frame, req.size, flags);
-            flat_b.sync_va(&mem_b, &pt_b, va);
+            sync_va(&mut flat_b, &mem_b, &pt_b, va);
             prop_assert_eq!(got, want, "map #{} of {:?} at {}", i, req.size, va);
-            assert_same_mem(&mem_a, &mem_b)?;
-            prop_assert_eq!(flat_a.node_count(), mem_a.table_frame_count());
-            prop_assert_eq!(flat_b.node_count(), mem_b.table_frame_count());
-            let mut rebuilt = FlatMirror::new(&pt_a);
-            rebuilt.rebuild(&mem_a, &pt_a);
+            assert_same_nodes(&mem_b, &pt_b, &flat_a)?;
+            assert_same_nodes(&mem_b, &pt_b, &flat_b)?;
+            let rebuilt = mirror_of(&mem_b, &pt_b);
             prop_assert_eq!(rebuilt.node_count(), flat_a.node_count());
             probes.extend(probes_for(va));
+            // The oracle rebuilt from side A's translations, in side A's
+            // node frames, is the oracle built by the maps, entry for entry.
+            let (mem_a, _) = radix_of(&flat_a, probes.iter().copied());
+            assert_same_mem(&mem_a, &mem_b)?;
             for &probe in &probes {
                 assert_same_answers(&flat_a, &flat_b, probe, "map vs map+sync")?;
                 assert_same_answers(&flat_a, &rebuilt, probe, "map vs rebuild")?;
-                assert_equivalent(&mem_a, &pt_a, &flat_a, probe)?;
+                assert_equivalent(&mem_b, &pt_b, &flat_a, probe)?;
             }
         }
     }
 
     /// Arbitrary mixes of 4K/2M/1G mappings with arbitrary sharing of node
-    /// chains, under both paging modes, with a subset unmapped again
-    /// (post-unmap holes): per-VA incremental sync keeps the mirror exact.
+    /// chains, under both paging modes, conflicting maps included: a flat
+    /// table synced from the oracle map by map, and one rebuilt from it
+    /// wholesale, stay exact.
     #[test]
     fn flat_matches_radix_for_arbitrary_layouts(
         reqs in proptest::collection::vec(map_req(), 1..24),
-        unmap_mask in proptest::collection::vec((0u32..2).prop_map(|b| b == 1), 24),
         five_level in (0u32..2).prop_map(|b| b == 1),
     ) {
         let mode = if five_level { PagingMode::FiveLevel } else { PagingMode::FourLevel };
         let mut mem = SimPhysMem::new();
         let mut alloc = BumpNodeAllocator::new(PhysFrameNum::new(0x10_000));
         let mut pt = PageTable::new(mode, &mut mem, &mut alloc);
-        let mut mirror = FlatMirror::new(&pt);
+        let mut mirror = mirror_of(&mem, &pt);
         let mut mapped = Vec::new();
         for (i, req) in reqs.iter().enumerate() {
             let va = req.va();
-            // Frames aligned to the page size; conflicts with earlier large
-            // pages are part of the generated layout space — a failed map
-            // must leave the mirror coherent too.
-            let frame = PhysFrameNum::new((0x100_000 + i as u64 * 0x4_0000) & !(req.size.base_pages() - 1));
-            let _ = pt.map(&mut mem, &mut alloc, va, frame, req.size, PteFlags::user_data());
-            mirror.sync_va(&mem, &pt, va);
+            // Conflicts with earlier large pages are part of the generated
+            // layout space — a failed map must leave both tables coherent.
+            let _ = pt.map(&mut mem, &mut alloc, va, frame_for(i, req.size), req.size,
+                           PteFlags::user_data());
+            sync_va(&mut mirror, &mem, &pt, va);
             mapped.push(va);
-        }
-        for (va, unmap) in mapped.iter().zip(&unmap_mask) {
-            if *unmap {
-                let _ = pt.unmap(&mut mem, *va);
-                mirror.sync_va(&mem, &pt, *va);
-            }
         }
         for va in &mapped {
             for probe in probes_for(*va) {
                 assert_equivalent(&mem, &pt, &mirror, probe)?;
             }
         }
-        // A wholesale rebuild reaches the same mirror state.
-        let mut rebuilt = FlatMirror::new(&pt);
-        rebuilt.rebuild(&mem, &pt);
+        assert_same_nodes(&mem, &pt, &mirror)?;
+        // A wholesale rebuild reaches the same table.
+        let rebuilt = mirror_of(&mem, &pt);
         for va in &mapped {
             assert_equivalent(&mem, &pt, &rebuilt, *va)?;
         }
+        assert_same_nodes(&mem, &pt, &rebuilt)?;
+    }
+
+    /// The census read from the flat table equals the oracle's census —
+    /// table pages, present entries and node frames per level — on random
+    /// map sequences with 2 MiB and 1 GiB leaves, under both placers.
+    #[test]
+    fn flat_census_matches_radix_census(
+        reqs in proptest::collection::vec(map_req(), 1..48),
+        five_level in (0u32..2).prop_map(|b| b == 1),
+        asap_like in (0u32..2).prop_map(|b| b == 1),
+    ) {
+        let mode = if five_level { PagingMode::FiveLevel } else { PagingMode::FourLevel };
+        let scatter = BumpNodeAllocator::new(PhysFrameNum::new(0x10_000));
+        let mut alloc_a = if asap_like {
+            Placer::AsapLike(AsapLikePlacer { scatter })
+        } else {
+            Placer::Bump(scatter)
+        };
+        let mut alloc_b = alloc_a.clone();
+        let mut flat = FlatMirror::new(mode, &mut alloc_a);
+        let mut mem = SimPhysMem::new();
+        let mut pt = PageTable::new(mode, &mut mem, &mut alloc_b);
+        for (i, req) in reqs.iter().enumerate() {
+            let flags = PteFlags::user_data();
+            let frame = frame_for(i, req.size);
+            let got = flat.map(&mut alloc_a, req.va(), frame, req.size, flags);
+            let want = pt.map(&mut mem, &mut alloc_b, req.va(), frame, req.size, flags);
+            prop_assert_eq!(got, want);
+        }
+        let census = PtCensus::collect(&flat);
+        let oracle = pt.census(&mem);
+        prop_assert_eq!(&census, &oracle);
+        for level in PtLevel::ALL {
+            prop_assert_eq!(census.contiguity_at(level), oracle.contiguity_at(level));
+        }
+        prop_assert_eq!(census.contiguity_total(), oracle.contiguity_total());
     }
 
     /// Real demand-paged layouts: a process touching arbitrary heap pages
-    /// (buddy-scattered node placement, ASAP on and off) mirrors exactly.
+    /// (buddy-scattered node placement, ASAP on and off) holds exactly the
+    /// oracle built from its translations in its node frames.
     #[test]
     fn flat_matches_radix_for_process_layouts(
         offsets in proptest::collection::btree_set(0u64..16_384, 1..32),
@@ -353,18 +407,20 @@ proptest! {
         for va in &vas {
             p.touch(*va).unwrap();
         }
-        let mut mirror = FlatMirror::new(p.page_table());
-        mirror.rebuild(p.mem(), p.page_table());
+        let (mem, pt) = radix_of(p.flat_mirror(), vas.iter().copied());
+        assert_same_nodes(&mem, &pt, p.flat_mirror())?;
+        prop_assert_eq!(p.census(), pt.census(&mem));
         for va in &vas {
             for probe in probes_for(*va) {
-                assert_equivalent(p.mem(), p.page_table(), &mirror, probe)?;
+                assert_equivalent(&mem, &pt, p.flat_mirror(), probe)?;
             }
         }
     }
 
-    /// Virt nested mode: the host-dimension (EPT) tables — identity-backed,
-    /// 4K or 2M host pages — mirror exactly for every gPA the guest's node
-    /// chain and data pages produce.
+    /// Virt nested mode: the host-dimension (EPT) table — identity-backed,
+    /// 4K or 2M host pages — holds exactly the oracle built from its
+    /// translations for every gPA the guest's node chain and data pages
+    /// produce.
     #[test]
     fn flat_matches_radix_for_nested_layouts(
         offsets in proptest::collection::btree_set(0u64..4_096, 1..16),
@@ -387,18 +443,23 @@ proptest! {
         for va in &vas {
             vm.touch(*va).unwrap();
         }
-        let mut mirror = FlatMirror::new(vm.ept().table());
-        mirror.rebuild(vm.ept().mem(), vm.ept().table());
+        // Every gPA the host table backs: each data page, and every guest
+        // PT node address (itself a walked gPA).
+        let mut gpas = Vec::new();
         for va in &vas {
             let gpa = vm.guest().translate(*va).unwrap().phys_addr(*va);
-            for probe in probes_for(Ept::gpa_as_va(gpa)) {
-                assert_equivalent(vm.ept().mem(), vm.ept().table(), &mirror, probe)?;
+            gpas.push(Ept::gpa_as_va(gpa));
+            for step in &vm.guest().walk(*va).steps {
+                gpas.push(Ept::gpa_as_va(step.entry_addr));
             }
-            // Every guest PT node address is itself a walked gPA.
-            let trace = vm.guest().walk(*va);
-            for step in &trace.steps {
-                let node_va = Ept::gpa_as_va(step.entry_addr);
-                assert_equivalent(vm.ept().mem(), vm.ept().table(), &mirror, node_va)?;
+        }
+        let ept = vm.ept().flat_mirror();
+        let (mem, pt) = radix_of(ept, gpas.iter().copied());
+        assert_same_nodes(&mem, &pt, ept)?;
+        prop_assert_eq!(vm.ept().census(), pt.census(&mem));
+        for &gpa in &gpas {
+            for probe in probes_for(gpa) {
+                assert_equivalent(&mem, &pt, ept, probe)?;
             }
         }
     }
