@@ -9,12 +9,12 @@
 //!
 //! It is the only page-table store. Demand faults write it through
 //! [`FlatMirror::map`], walks and translations read it, and the Table 2
-//! census ([`crate::PtCensus`]) is collected from it. The name is
-//! historical: the arena began as an index over a hash-keyed radix copy.
-//! That copy is now a test oracle in the `asap-pt-test-util` crate, and
-//! `tests/prop_flat_walk_equivalence.rs` pins the two to the same map
-//! results, translations, walk traces and census on random tables. The
-//! timing model consumes either through the [`WalkSource`] seam.
+//! census ([`crate::PtCensus`]) is collected from it. A hash-keyed radix
+//! model of the same table lives in the `asap-pt-test-util` crate as a
+//! test oracle, and `tests/prop_flat_walk_equivalence.rs` pins the two to
+//! the same map results, translations, walk traces, node frames and census
+//! on random tables. The timing model consumes either through the
+//! [`WalkSource`] seam.
 
 use crate::{
     FixedWalk, PtError, PtNodeAllocator, Pte, PteFlags, Translation, WalkOutcome, WalkStep,

@@ -36,9 +36,9 @@ impl WalkSource for RadixSource<'_> {
 /// # Panics
 ///
 /// `alloc_node` panics if `src`'s walk of `va` does not reach `level`.
-pub struct ReplayPlacer<'a> {
+struct ReplayPlacer<'a> {
     /// The table whose node frames are replayed.
-    pub src: &'a dyn WalkSource,
+    src: &'a dyn WalkSource,
 }
 
 impl PtNodeAllocator for ReplayPlacer<'_> {

@@ -27,7 +27,7 @@ mod phys_mem;
 mod table;
 mod walker;
 
-pub use flat::{mirror_of, radix_of, sync_va, RadixSource, ReplayPlacer};
+pub use flat::{mirror_of, radix_of, sync_va, RadixSource};
 pub use frame::PtFrame;
 pub use phys_mem::SimPhysMem;
 pub use table::PageTable;
