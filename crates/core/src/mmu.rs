@@ -711,9 +711,7 @@ mod tests {
     #[test]
     fn engine_trait_matches_inherent_translation() {
         // The trait surface must be a pure view over the inherent API: the
-        // same access sequence through both yields identical outcomes. This
-        // doubles as the MMU-level differential — the inherent path walks
-        // the radix table, the trait path walks the flat mirror.
+        // same access sequence through both yields identical outcomes.
         let mut p1 = process(AsapOsConfig::pl1_and_pl2());
         let mut p2 = process(AsapOsConfig::pl1_and_pl2());
         let vas: Vec<VirtAddr> = (0..16).map(|i| heap_va(&p1, i * 0x3000)).collect();

@@ -115,9 +115,9 @@ pub struct NestedWalker;
 impl NestedWalker {
     /// Performs the 2D walk of Fig. 7 for `va`.
     ///
-    /// `guest` supplies the guest-dimension walk (the radix tables or the
-    /// process' flat mirror — equivalent by the differential harness);
-    /// `ept` supplies and lazily extends the host dimension.
+    /// `guest` supplies the guest-dimension walk (the guest process's page
+    /// table, or in tests the radix oracle); `ept` supplies and lazily
+    /// extends the host dimension.
     #[must_use]
     pub fn walk(guest: &dyn WalkSource, ept: &mut Ept, va: VirtAddr) -> NestedWalkTrace {
         let mut steps = Vec::with_capacity(24);

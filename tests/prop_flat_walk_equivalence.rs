@@ -11,6 +11,7 @@
 //! tables are compared with an oracle rebuilt from their translations in
 //! their own node frames ([`radix_of`]).
 
+use asap::core::{AsapHwConfig, Mmu, MmuConfig};
 use asap::os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
 use asap::pt::{BumpNodeAllocator, FlatMirror, PtCensus, PtNodeAllocator, PteFlags, WalkSource};
 use asap::types::{Asid, ByteSize, PageSize, PagingMode, PhysFrameNum, PtLevel, VirtAddr};
@@ -462,5 +463,40 @@ proptest! {
                 assert_equivalent(&mem, &pt, ept, probe)?;
             }
         }
+    }
+}
+
+/// The timing model cannot tell the tables apart: an ASAP MMU walking the
+/// oracle (rebuilt from a demand-paged process's translations in its node
+/// frames) and one walking the process's flat table report identical
+/// outcomes — paths, latencies, per-level sources and prefetch counts —
+/// over a cold-then-warm access sequence.
+#[test]
+fn mmu_walks_radix_and_flat_alike() {
+    let mut p = Process::new(
+        ProcessConfig::new(Asid(1))
+            .with_heap(ByteSize::mib(128))
+            .with_asap(AsapOsConfig::pl1_and_pl2())
+            .with_seed(5),
+    );
+    let heap = p.vma_of_kind(VmaKind::Heap).unwrap().start();
+    let vas: Vec<VirtAddr> = (0..64u64)
+        .map(|i| VirtAddr::new(heap.raw() + (i * 0x9e37 % 32_768) * 4096).unwrap())
+        .collect();
+    for va in &vas {
+        p.touch(*va).unwrap();
+    }
+    let (mem, pt) = radix_of(p.flat_mirror(), vas.iter().copied());
+    let radix = RadixSource { mem: &mem, pt: &pt };
+    let mmu = || {
+        let mut m = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
+        m.load_context(p.vma_descriptors());
+        m
+    };
+    let (mut on_radix, mut on_flat) = (mmu(), mmu());
+    for va in vas.iter().chain(&vas) {
+        let a = on_radix.translate(&radix, p.asid(), *va, None);
+        let b = on_flat.translate(p.flat_mirror(), p.asid(), *va, None);
+        assert_eq!(a, b, "outcomes diverged at {va}");
     }
 }
