@@ -59,13 +59,9 @@ impl PtNodeAllocator for ReplayPlacer<'_> {
 #[must_use]
 pub fn mirror_of(mem: &SimPhysMem, pt: &PageTable) -> FlatMirror {
     let src = RadixSource { mem, pt };
-    let mut placer = ReplayPlacer { src: &src };
-    let mut mirror = FlatMirror::new(pt.mode(), &mut placer);
-    for (va, t) in pt.leaves(mem) {
-        #[expect(clippy::expect_used, reason = "distinct radix leaves never collide")]
-        mirror
-            .map(&mut placer, va, t.frame, t.size, t.flags)
-            .expect("a radix leaf maps into the copy");
+    let mut mirror = FlatMirror::new(pt.mode(), &mut ReplayPlacer { src: &src });
+    for va in pt.leaves(mem) {
+        sync_va(&mut mirror, mem, pt, va);
     }
     mirror
 }

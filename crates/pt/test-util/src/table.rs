@@ -200,26 +200,19 @@ impl PageTable {
         out
     }
 
-    /// Every present leaf as `(page base VA, translation)`, depth first.
+    /// The base VA of every present leaf, depth first.
     #[must_use]
-    pub fn leaves(&self, mem: &SimPhysMem) -> Vec<(VirtAddr, Translation)> {
+    pub fn leaves(&self, mem: &SimPhysMem) -> Vec<VirtAddr> {
         let mut out = Vec::new();
         for (level, frame, va_base) in self.nodes(mem) {
             let Some(node) = mem.table_frame(frame) else {
                 continue;
             };
             for (idx, entry) in node.iter_present() {
-                if level != PtLevel::Pl1 && !entry.is_large_leaf() {
-                    continue;
-                }
-                if let Some(size) = PageSize::from_leaf_level(level) {
-                    let va = VirtAddr::new_unchecked(va_base | idx << level.index_shift());
-                    let t = Translation {
-                        frame: entry.frame(),
-                        size,
-                        flags: entry.flags(),
-                    };
-                    out.push((va, t));
+                if level == PtLevel::Pl1 || entry.is_large_leaf() {
+                    out.push(VirtAddr::new_unchecked(
+                        va_base | idx << level.index_shift(),
+                    ));
                 }
             }
         }
