@@ -22,13 +22,13 @@
 //! behind a green exit), 2 on usage errors.
 
 use asap_bench::{
-    execute_scenarios_cached, paper_scenarios, render, report_errors, results_tier, sim_config,
+    execute_scenarios, paper_scenarios, render, report_errors, results_tier, sim_config,
     write_results_json,
 };
 use asap_core::NestedAsapConfig;
 use asap_sim::scenarios::{find, registry, smoke_set, Scenario, ScenarioResults};
-use asap_sim::{CacheHandle, CacheStats, EngineSelect, RunSpec, SimConfig, Table, TelemetryConfig};
-use asap_telemetry::{chrome, ChromeEvent, Collect as _, MetricSet, PhaseProfile};
+use asap_sim::{EngineSelect, RunSpec, SimConfig, Table, TelemetryConfig};
+use asap_telemetry::{chrome, ChromeEvent, PhaseProfile};
 use asap_workloads::WorkloadSpec;
 use std::process::ExitCode;
 
@@ -73,14 +73,6 @@ OPTIONS:
     --check              with metrics-manifest: fail (exit 1) if the
                          committed manifest differs from a regeneration
                          instead of rewriting it
-    --cache-dir <path>   content-addressed result cache directory
-                         (default target/asap-cache, git-ignored); a warm
-                         re-run decodes stored results instead of
-                         simulating
-    --no-cache           simulate every run fresh, never read or write
-                         the result cache
-    --cache-stats        print the cache hit/miss/bytes summary line
-                         after the fan-out
     -h, --help           print this help
 ";
 
@@ -96,9 +88,6 @@ struct Cli {
     metrics: Option<String>,
     profile: bool,
     check: bool,
-    cache_dir: Option<String>,
-    no_cache: bool,
-    cache_stats: bool,
 }
 
 impl Cli {
@@ -129,9 +118,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         metrics: None,
         profile: false,
         check: false,
-        cache_dir: None,
-        no_cache: false,
-        cache_stats: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -190,15 +176,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--profile" => cli.profile = true,
             "--check" => cli.check = true,
-            "--cache-dir" => {
-                cli.cache_dir = Some(
-                    it.next()
-                        .ok_or_else(|| "--cache-dir needs a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--no-cache" => cli.no_cache = true,
-            "--cache-stats" => cli.cache_stats = true,
             "--filter" => {
                 cli.filter = Some(
                     it.next()
@@ -407,43 +384,6 @@ fn emit_telemetry(cli: &Cli, results: &[ScenarioResults]) -> Result<(), String> 
     Ok(())
 }
 
-/// The default result-cache location: under `target/`, so it is already
-/// git-ignored and a `cargo clean` clears it along with everything else.
-const DEFAULT_CACHE_DIR: &str = "target/asap-cache";
-
-/// Opens the content-addressed result cache the CLI flags select, or
-/// `None` when `--no-cache` is set. An unopenable directory degrades to
-/// an uncached run with a warning — caching is an accelerator, never a
-/// prerequisite.
-fn open_cache(cli: &Cli) -> Option<CacheHandle> {
-    if cli.no_cache {
-        return None;
-    }
-    let dir = cli.cache_dir.as_deref().unwrap_or(DEFAULT_CACHE_DIR);
-    match CacheHandle::open(dir) {
-        Ok(handle) => Some(handle),
-        Err(e) => {
-            eprintln!("asap: result cache disabled ({dir}: {e})");
-            None
-        }
-    }
-}
-
-/// The `--cache-stats` summary line (stdout, so CI can grep it).
-fn print_cache_stats(cache: Option<&CacheHandle>) {
-    let Some(cache) = cache else {
-        println!("cache: disabled");
-        return;
-    };
-    let stats = cache.stats();
-    let (hits, misses) = (stats.hits(), stats.misses());
-    let pct = (hits * 100).checked_div(stats.lookups()).unwrap_or(0);
-    println!(
-        "cache: {hits} hits, {misses} misses ({pct}% hit rate), {} bytes stored",
-        stats.stored_bytes()
-    );
-}
-
 /// Runs a scenario set, prints every rendered table, reports errors, and
 /// optionally writes the results JSON. The shared tail of `run`, `smoke`
 /// and `all`. The JSON tier follows the windows the set actually ran at
@@ -456,8 +396,7 @@ fn execute_and_report(set: &[Scenario], cli: &Cli, default_json: Option<&str>) -
     }
     #[expect(clippy::disallowed_methods, reason = "command wall time")]
     let start = std::time::Instant::now();
-    let cache = open_cache(cli);
-    let results = execute_scenarios_cached(set, sim_config(cli.quick), cache.as_ref());
+    let results = execute_scenarios(set, sim_config(cli.quick));
     for (scenario, result) in set.iter().zip(&results) {
         for t in render(scenario, result) {
             println!("{}", t.render());
@@ -482,9 +421,6 @@ fn execute_and_report(set: &[Scenario], cli: &Cli, default_json: Option<&str>) -
     if let Err(message) = emit_telemetry(cli, &results) {
         eprintln!("{message}");
         return ExitCode::from(1);
-    }
-    if cli.cache_stats {
-        print_cache_stats(cache.as_ref());
     }
     if let Some(path) = cli.json.as_deref().or(default_json) {
         match write_results_json(path, &results, results_tier(set, cli.quick)) {
@@ -668,13 +604,6 @@ fn cmd_metrics_manifest(cli: &Cli) -> ExitCode {
         };
         names.extend(telemetry.metrics.iter().map(|m| m.name.clone()));
     }
-    // The result cache's counters live outside any run's telemetry (the
-    // store is process-wide, and cached specs are telemetry-free by
-    // construction), so collect them from a fresh stats block under the
-    // prefix the CLI composes.
-    let mut cache_metrics = MetricSet::new();
-    CacheStats::default().collect("cache_", &mut cache_metrics);
-    names.extend(cache_metrics.iter().map(|m| m.name.clone()));
     names.sort();
     names.dedup();
     let mut rendered = String::from("[\n");

@@ -21,12 +21,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use asap_sim::scenarios::{
-    registry, run_scenarios_cached, RendererKind, Scenario, ScenarioResults,
-};
-use asap_sim::{
-    fmt_cycles, fmt_pct, fmt_ratio, parallel_map, CacheHandle, RunResult, SimConfig, Table,
-};
+use asap_sim::scenarios::{registry, run_scenarios, RendererKind, Scenario, ScenarioResults};
+use asap_sim::{fmt_cycles, fmt_pct, fmt_ratio, parallel_map, RunResult, SimConfig, Table};
 use asap_types::PtLevel;
 use asap_workloads::WorkloadSpec;
 
@@ -103,21 +99,6 @@ pub fn experiment_names() -> Vec<&'static str> {
 /// fan-out; results come back in the input order.
 #[must_use]
 pub fn execute_scenarios(set: &[Scenario], fallback: SimConfig) -> Vec<ScenarioResults> {
-    execute_scenarios_cached(set, fallback, None)
-}
-
-/// [`execute_scenarios`] with an optional content-addressed result cache:
-/// when `cache` is `Some`, each run is looked up by its
-/// [`asap_sim::RunSpec`] cache key before simulating (hits decode the
-/// stored result byte-identically), and the fan-out is scheduled
-/// longest-expected-first from the cache's cost profile. `None` is the
-/// plain uncached fan-out.
-#[must_use]
-pub fn execute_scenarios_cached(
-    set: &[Scenario],
-    fallback: SimConfig,
-    cache: Option<&CacheHandle>,
-) -> Vec<ScenarioResults> {
     let mut groups: Vec<(SimConfig, Vec<usize>)> = Vec::new();
     for (i, s) in set.iter().enumerate() {
         let sim = s.windows_or(fallback);
@@ -129,10 +110,7 @@ pub fn execute_scenarios_cached(
     let mut out: Vec<Option<ScenarioResults>> = set.iter().map(|_| None).collect();
     for (sim, idxs) in groups {
         let subset: Vec<Scenario> = idxs.iter().map(|&i| set[i].clone()).collect();
-        for (results, &i) in run_scenarios_cached(&subset, sim, cache)
-            .into_iter()
-            .zip(&idxs)
-        {
+        for (results, &i) in run_scenarios(&subset, sim).into_iter().zip(&idxs) {
             out[i] = Some(results);
         }
     }
@@ -147,9 +125,10 @@ pub fn execute_scenarios_cached(
 /// run in a fan-out can never hide behind a green exit.
 ///
 /// Diagnostics are lint-style — `file:line: error: …` — where the anchor
-/// is the source line that raised the [`DriverError`] (captured with
-/// `#[track_caller]`), so a violation in a terminal or CI log is clickable
-/// straight into the driver/spec code that rejected the run.
+/// is the source line that raised the [`DriverError`](asap_sim::DriverError)
+/// (captured with `#[track_caller]`), so a violation in a terminal or CI
+/// log is clickable straight into the driver/spec code that rejected the
+/// run.
 pub fn report_errors<'a>(all: impl IntoIterator<Item = &'a ScenarioResults>) -> usize {
     let mut count = 0;
     for results in all {

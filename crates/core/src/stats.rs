@@ -98,16 +98,10 @@ impl ServedByMatrix {
     }
 
     /// The raw `counts[level_depth - 1][column]` grid, for byte-exact
-    /// serialization (the result cache's codec).
+    /// serialization of result rows.
     #[must_use]
     pub fn raw_counts(&self) -> &[[u64; 5]; 5] {
         &self.counts
-    }
-
-    /// Rebuilds a matrix from a raw grid produced by [`Self::raw_counts`].
-    #[must_use]
-    pub fn from_raw_counts(counts: [[u64; 5]; 5]) -> Self {
-        Self { counts }
     }
 }
 
@@ -232,23 +226,6 @@ impl WalkLatencyStats {
         &self.buckets
     }
 
-    /// Rebuilds statistics from the raw parts reported by the accessors
-    /// ([`Self::count`], [`Self::total_cycles`], [`Self::min`],
-    /// [`Self::max`], [`Self::buckets`]), for byte-exact serialization.
-    /// An empty set (`count == 0`) restores the internal `u64::MAX` min
-    /// sentinel, so a round trip through the accessors is lossless:
-    /// `from_raw` of an empty set's parts equals [`Self::new`].
-    #[must_use]
-    pub fn from_raw(count: u64, total_cycles: u64, min: u64, max: u64, buckets: [u64; 16]) -> Self {
-        Self {
-            count,
-            total_cycles,
-            min: if count == 0 { u64::MAX } else { min },
-            max,
-            buckets,
-        }
-    }
-
     /// Merges another set of statistics.
     pub fn merge(&mut self, other: &Self) {
         if other.count == 0 {
@@ -351,30 +328,6 @@ mod tests {
         // Merging an empty never corrupts min.
         a.merge(&WalkLatencyStats::new());
         assert_eq!(a.min(), 5);
-    }
-
-    #[test]
-    fn raw_roundtrip_is_lossless() {
-        let mut s = WalkLatencyStats::new();
-        for l in [7u64, 300, 12] {
-            s.record(l);
-        }
-        let back =
-            WalkLatencyStats::from_raw(s.count(), s.total_cycles(), s.min(), s.max(), *s.buckets());
-        assert_eq!(back, s);
-
-        // The empty case: the accessor reports min = 0, from_raw restores
-        // the u64::MAX sentinel so future merges stay correct.
-        let empty = WalkLatencyStats::new();
-        let back = WalkLatencyStats::from_raw(0, 0, empty.min(), 0, [0; 16]);
-        assert_eq!(back, empty);
-        let mut merged = back;
-        merged.record(9);
-        assert_eq!(merged.min(), 9);
-
-        let mut m = ServedByMatrix::new();
-        m.record(PtLevel::Pl3, ServedSource::Pwc);
-        assert_eq!(ServedByMatrix::from_raw_counts(*m.raw_counts()), m);
     }
 
     #[test]

@@ -209,9 +209,15 @@ pub const MAX_CORES: usize = 64;
 /// socket count, not a scheduling limit.
 pub const MAX_NUMA_NODES: usize = 8;
 
+/// The simulation-semantics version, printed by perfbench next to its
+/// rows digests. Bump it only in a commit that changes rows on purpose,
+/// regenerating the committed rows and digests in that same commit; it
+/// keys nothing.
+pub const SIM_SEMVER: &str = "1.0.0";
+
 /// One run: `workload × engine × machine × cores × knobs` — the unit the
 /// scenario registry enumerates and [`RunSpec::run`] executes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// The workload preset.
     pub workload: WorkloadSpec,

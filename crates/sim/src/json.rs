@@ -297,37 +297,37 @@ impl std::error::Error for JsonParseError {}
 
 /// A minimal schema-directed JSON parser (whitespace-tolerant; strings,
 /// unsigned integers and decimal floats — all this schema contains).
-pub(crate) struct Parser<'a> {
+struct Parser<'a> {
     input: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    pub(crate) fn new(input: &'a str) -> Self {
+    fn new(input: &'a str) -> Self {
         Self { input, pos: 0 }
     }
 
-    pub(crate) fn err(&self, message: impl Into<String>) -> JsonParseError {
+    fn err(&self, message: impl Into<String>) -> JsonParseError {
         JsonParseError {
             message: message.into(),
             offset: self.pos,
         }
     }
 
-    pub(crate) fn rest(&self) -> &'a str {
+    fn rest(&self) -> &'a str {
         &self.input[self.pos..]
     }
 
-    pub(crate) fn at_end(&self) -> bool {
+    fn at_end(&self) -> bool {
         self.pos >= self.input.len()
     }
 
-    pub(crate) fn skip_ws(&mut self) {
+    fn skip_ws(&mut self) {
         let trimmed = self.rest().trim_start_matches([' ', '\t', '\n', '\r']);
         self.pos = self.input.len() - trimmed.len();
     }
 
-    pub(crate) fn expect_char(&mut self, token: char) -> Result<(), JsonParseError> {
+    fn expect_char(&mut self, token: char) -> Result<(), JsonParseError> {
         self.skip_ws();
         if self.rest().starts_with(token) {
             self.pos += token.len_utf8();
@@ -337,19 +337,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Consumes the literal keyword `word` if present (after whitespace).
-    pub(crate) fn eat_keyword(&mut self, word: &str) -> bool {
-        self.skip_ws();
-        if self.rest().starts_with(word) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
     /// Consumes `token` if present (after whitespace).
-    pub(crate) fn eat(&mut self, token: char) -> bool {
+    fn eat(&mut self, token: char) -> bool {
         self.skip_ws();
         if self.rest().starts_with(token) {
             self.pos += token.len_utf8();
@@ -359,7 +348,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    pub(crate) fn string(&mut self) -> Result<String, JsonParseError> {
+    fn string(&mut self) -> Result<String, JsonParseError> {
         self.expect_char('"')?;
         let mut out = String::new();
         let mut chars = self.rest().char_indices();
@@ -421,7 +410,7 @@ impl<'a> Parser<'a> {
         Ok(&rest[..len])
     }
 
-    pub(crate) fn u64_value(&mut self) -> Result<u64, JsonParseError> {
+    fn u64_value(&mut self) -> Result<u64, JsonParseError> {
         let lexeme = self.number_lexeme()?;
         lexeme
             .parse()
@@ -435,7 +424,7 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err(format!("expected a number, got {lexeme:?}")))
     }
 
-    pub(crate) fn key(&mut self, expected: &str) -> Result<(), JsonParseError> {
+    fn key(&mut self, expected: &str) -> Result<(), JsonParseError> {
         let k = self.string()?;
         if k != expected {
             return Err(self.err(format!("expected key {expected:?}, got {k:?}")));

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod codec;
 mod config;
 mod cycles;
@@ -57,17 +56,17 @@ pub mod scenarios;
 pub mod sched;
 mod virt;
 
-pub use asap_store::{CacheHandle, CacheKey, CacheStats, CostProfile};
 pub use asap_telemetry::{RunTelemetry, TelemetryConfig};
-pub use cache::{engine_fingerprint, SIM_SEMVER};
-pub use codec::{decode_payload, encode_payload, result_from_json, result_to_json, CODEC_VERSION};
-pub use config::{EngineSelect, MachineSelect, RunSpec, SimConfig, MAX_CORES, MAX_NUMA_NODES};
+pub use codec::result_to_json;
+pub use config::{
+    EngineSelect, MachineSelect, RunSpec, SimConfig, MAX_CORES, MAX_NUMA_NODES, SIM_SEMVER,
+};
 pub use cycles::{CPU_WORK_CYCLES_PER_ACCESS, INSTRUCTIONS_PER_ACCESS};
 pub use driver::{
     run_cores, run_cores_observed, run_scenario, CoreSlot, DriverError, DriverErrorKind,
     DriverObserver, RunMeta, OS_RUN_AHEAD_DEPTH,
 };
 pub use json::{results_to_json, BenchDoc, BenchError, BenchRun, BenchScenario, JsonParseError};
-pub use parallel::{parallel_map, parallel_map_prioritized};
+pub use parallel::parallel_map;
 pub use report::{fmt_cycles, fmt_pct, fmt_ratio, Table};
 pub use result::{RunOutput, RunResult};

@@ -1,11 +1,8 @@
 //! Deterministic parallel fan-out of independent runs.
 //!
-//! Both entry points share one work-stealing core: a shared atomic work
-//! index over single-take slots, so no thread ever owns a fixed chunk
-//! and a straggler item delays only the one thread running it. The
-//! prioritized variant additionally *orders* the shared queue
-//! longest-expected-first, so known-expensive runs start before the
-//! cheap tail instead of landing on an otherwise-drained pool.
+//! Workers claim items from one shared atomic index over single-take
+//! slots, so no thread ever owns a fixed chunk and a straggler item
+//! delays only the one thread running it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -31,41 +28,6 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    dispatch(items, None, f)
-}
-
-/// [`parallel_map`] with cost-aware scheduling: items are *executed* in
-/// descending `costs` order (ties keep input order), while the output
-/// still matches input order exactly. Pass the largest cost for items
-/// whose cost is unknown — starting an unknown early is the conservative
-/// choice, since an unknown straggler scheduled last serializes the
-/// whole fan-out behind one thread.
-///
-/// # Panics
-///
-/// Panics when `costs.len() != items.len()`, and propagates panics from
-/// `f` like [`parallel_map`].
-pub fn parallel_map_prioritized<T, R, F>(items: Vec<T>, costs: &[u64], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    assert_eq!(items.len(), costs.len(), "one cost estimate per work item");
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| costs[b].cmp(&costs[a]).then(a.cmp(&b)));
-    dispatch(items, Some(order), f)
-}
-
-/// The shared executor: workers claim positions of the (optionally
-/// reordered) schedule from one atomic index; results land in input
-/// order.
-fn dispatch<T, R, F>(items: Vec<T>, order: Option<Vec<usize>>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
     let n = items.len();
     if n == 0 {
         return Vec::new();
@@ -82,16 +44,14 @@ where
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let order = order.as_deref();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let pos = next.fetch_add(1, Ordering::Relaxed);
-                if pos >= n {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
                     break;
                 }
-                let i = order.map_or(pos, |o| o[pos]);
-                #[expect(clippy::expect_used, reason = "each position is claimed once")]
+                #[expect(clippy::expect_used, reason = "each index is claimed once")]
                 let item = work[i]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -102,7 +62,7 @@ where
             });
         }
     });
-    #[expect(clippy::expect_used, reason = "every position was claimed")]
+    #[expect(clippy::expect_used, reason = "every index was claimed")]
     results
         .into_iter()
         .map(|m| {
@@ -139,26 +99,12 @@ mod tests {
         assert_eq!(seq, par);
     }
 
-    #[test]
-    fn prioritized_output_is_still_in_input_order() {
-        let items: Vec<u64> = (0..64).collect();
-        let costs: Vec<u64> = items.iter().map(|x| x % 7).collect();
-        let out = parallel_map_prioritized(items, &costs, |x| x + 1);
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "one cost estimate per work item")]
-    fn prioritized_rejects_mismatched_costs() {
-        let _ = parallel_map_prioritized(vec![1, 2, 3], &[1], |x| x);
-    }
-
-    /// The satellite contract: one pathological straggler (100× every
-    /// other item) must not serialize the cheap tail behind it. With the
-    /// shared-index executor the thread that claims the straggler
-    /// processes (almost) nothing else, and the fan-out completes in
-    /// ~max(item), not ~sum(chunk) — asserted structurally by counting
-    /// per-thread items processed rather than by timing.
+    /// One pathological straggler (100× every other item) must not
+    /// serialize the cheap tail behind it. With the shared-index executor
+    /// the thread that claims the straggler processes (almost) nothing
+    /// else, and the fan-out completes in ~max(item), not ~sum(chunk) —
+    /// asserted structurally by counting per-thread items processed
+    /// rather than by timing.
     #[test]
     fn straggler_does_not_serialize_a_chunk() {
         let workers = std::thread::available_parallelism()
@@ -167,14 +113,13 @@ mod tests {
         if workers < 2 {
             return; // single-threaded host: nothing to schedule around
         }
-        // Item 0 costs 100 ticks, 63 others cost 1 tick each; the
-        // prioritized schedule starts the straggler first.
+        // Item 0 costs 100 ticks, 63 others cost 1 tick each; input order
+        // starts the straggler first.
         let n = 64usize;
-        let costs: Vec<u64> = (0..n).map(|i| if i == 0 { 100 } else { 1 }).collect();
         let tick = Duration::from_millis(1);
         let processed: Mutex<HashMap<ThreadId, Vec<usize>>> = Mutex::new(HashMap::new());
-        let out = parallel_map_prioritized((0..n).collect(), &costs, |i| {
-            std::thread::sleep(tick * costs[i] as u32);
+        let out = parallel_map((0..n).collect(), |i| {
+            std::thread::sleep(tick * if i == 0 { 100 } else { 1 });
             processed
                 .lock()
                 .unwrap()

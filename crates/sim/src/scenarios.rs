@@ -52,7 +52,7 @@
 //! ```
 
 use crate::driver::DriverError;
-use crate::{parallel_map, EngineSelect, MachineSelect, RunResult, RunSpec, SimConfig};
+use crate::{parallel_map, EngineSelect, MachineSelect, RunOutput, RunResult, RunSpec, SimConfig};
 use asap_core::{AsapHwConfig, NestedAsapConfig};
 use asap_telemetry::{RunTelemetry, TelemetryConfig};
 use asap_tlb::PwcConfig;
@@ -531,71 +531,38 @@ impl ScenarioResults {
 
 /// Runs several scenarios as ONE flattened parallel fan-out (better load
 /// balancing than nesting `parallel_map` per scenario), preserving order.
+/// A telemetry-free spec named by several runs is simulated once and its
+/// output cloned into each of them: a spec's rows depend on the spec
+/// alone (every run is seeded), so the copies equal fresh runs. Specs
+/// with telemetry always run live, since their artifacts are per run.
 #[must_use]
 pub fn run_scenarios(scenarios: &[Scenario], sim: SimConfig) -> Vec<ScenarioResults> {
-    run_scenarios_cached(scenarios, sim, None)
-}
-
-/// [`run_scenarios`] with an optional result cache: each run first probes
-/// the content-addressed store ([`crate::RunSpec::run_split_cached`]),
-/// the fan-out executes longest-expected-first using the cache's
-/// advisory cost profile (unknown costs schedule first — the
-/// conservative choice for stragglers), and observed wall-clocks are
-/// folded back into the profile afterwards. With `cache: None` this is
-/// exactly [`run_scenarios`]. Results are identical either way — the
-/// cache stores byte-exact payloads and the schedule order never
-/// influences any statistic.
-#[must_use]
-pub fn run_scenarios_cached(
-    scenarios: &[Scenario],
-    sim: SimConfig,
-    cache: Option<&asap_store::CacheHandle>,
-) -> Vec<ScenarioResults> {
     let mut flat: Vec<(usize, ScenarioRun)> = Vec::new();
     for (i, s) in scenarios.iter().enumerate() {
         flat.extend(s.runs(sim).into_iter().map(|r| (i, r)));
     }
-    let done = match cache {
-        None => parallel_map(flat, |(i, run)| {
-            (
-                i,
-                run.workload,
-                run.variant,
-                run.spec.run_split().map(|output| (output, None)),
-            )
-        }),
-        Some(cache) => {
-            let profile = cache.load_costs();
-            let costs: Vec<u64> = flat
-                .iter()
-                .map(|(_, run)| profile.get(&run.spec.cost_label()).unwrap_or(u64::MAX))
-                .collect();
-            let done = crate::parallel_map_prioritized(flat, &costs, |(i, run)| {
-                let label = run.spec.cost_label();
-                (
-                    i,
-                    run.workload,
-                    run.variant,
-                    run.spec
-                        .run_split_cached_timed(cache)
-                        .map(|(output, nanos)| (output, nanos.map(|n| (label, n)))),
-                )
-            });
-            let mut observed = asap_store::CostProfile::new();
-            for (_, _, _, r) in &done {
-                if let Ok((_, Some((label, nanos)))) = r {
-                    observed.record(label, *nanos);
-                }
-            }
-            if !observed.is_empty() {
-                let _ = cache.save_costs(&observed);
-            }
-            done
-        }
-    };
-    let done = done
-        .into_iter()
-        .map(|(i, workload, variant, r)| (i, workload, variant, r.map(|(output, _)| output)));
+    let specs: Vec<&RunSpec> = flat.iter().map(|(_, run)| &run.spec).collect();
+    let first = first_equal_specs(&specs);
+    let live: Vec<&RunSpec> = specs
+        .iter()
+        .zip(&first)
+        .enumerate()
+        .filter(|&(pos, (_, &f))| f == pos)
+        .map(|(_, (&spec, _))| spec)
+        .collect();
+    let mut fresh = parallel_map(live, RunSpec::run_split).into_iter();
+    let mut done: Vec<Result<RunOutput, DriverError>> = Vec::with_capacity(first.len());
+    for (pos, &f) in first.iter().enumerate() {
+        let output = if f == pos {
+            #[expect(clippy::expect_used, reason = "one live run per first occurrence")]
+            fresh
+                .next()
+                .expect("a live output for every first occurrence")
+        } else {
+            done[f].clone()
+        };
+        done.push(output);
+    }
     let mut out: Vec<ScenarioResults> = scenarios
         .iter()
         .map(|s| ScenarioResults {
@@ -604,23 +571,42 @@ pub fn run_scenarios_cached(
             errors: Vec::new(),
         })
         .collect();
-    for (i, workload, variant, r) in done {
+    for ((i, run), r) in flat.into_iter().zip(done) {
         match r {
             Ok(output) => out[i].runs.push(ScenarioRunResult {
-                workload,
-                variant,
+                workload: run.workload,
+                variant: run.variant,
                 result: output.aggregate,
                 per_core: output.per_core,
                 telemetry: output.telemetry,
             }),
             Err(error) => out[i].errors.push(ScenarioRunError {
-                workload,
-                variant,
+                workload: run.workload,
+                variant: run.variant,
                 error,
             }),
         }
     }
     out
+}
+
+/// For each spec, the position of the first spec equal to it — its own
+/// position unless an earlier one repeats it. Specs with telemetry map
+/// to themselves.
+fn first_equal_specs(specs: &[&RunSpec]) -> Vec<usize> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(pos, spec)| {
+            if spec.telemetry.any() {
+                return pos;
+            }
+            specs[..pos]
+                .iter()
+                .position(|earlier| earlier == spec)
+                .unwrap_or(pos)
+        })
+        .collect()
 }
 
 /// Looks a scenario up by name.
@@ -1251,6 +1237,46 @@ mod tests {
         for (a, b) in smoke.runs.iter().zip(direct.runs.iter()) {
             assert_eq!(a.variant, b.variant);
             assert_eq!(a.result.walks, b.result.walks);
+        }
+    }
+
+    #[test]
+    fn equal_specs_simulate_once_and_share_rows() {
+        let sim = SimConfig::smoke_test();
+        let asap = RunSpec::new(WorkloadSpec::mcf()).with_engine(EngineSelect::asap_p1_p2());
+        let metrics = TelemetryConfig {
+            trace: false,
+            metrics: true,
+            profile: false,
+        };
+        let set = vec![
+            Scenario::new("dedupe_a", "a").row("asap", asap.clone()),
+            Scenario::new("dedupe_b", "b")
+                .row("baseline", RunSpec::new(WorkloadSpec::mcf()))
+                .row("asap", asap.clone()),
+            Scenario::new("dedupe_c", "c")
+                .row("asap", asap.clone())
+                .with_telemetry(metrics),
+            Scenario::new("dedupe_d", "d")
+                .row("asap", asap)
+                .with_telemetry(metrics),
+        ];
+        let specs: Vec<RunSpec> = set
+            .iter()
+            .flat_map(|s| s.runs(sim))
+            .map(|r| r.spec)
+            .collect();
+        let specs: Vec<&RunSpec> = specs.iter().collect();
+        // b's ASAP run repeats a's; the two traced runs are equal to each
+        // other but both stay live.
+        assert_eq!(first_equal_specs(&specs), vec![0, 1, 0, 3, 4]);
+
+        let all = run_scenarios(&set, sim);
+        let row = all[0].get("mcf", "asap");
+        assert_eq!(all[1].get("mcf", "asap"), row);
+        for traced in &all[2..] {
+            assert_eq!(traced.get("mcf", "asap"), row);
+            assert!(traced.runs[0].telemetry.is_some(), "traced runs run live");
         }
     }
 
