@@ -121,10 +121,16 @@ smoke() {
     # trace-event JSON that parses under the canonical grammar and
     # re-emits byte-identically (`asap trace-check`), so the --trace
     # output Perfetto consumes can never silently drift from the parser.
+    # Python's json module, a reader written outside this repo, then
+    # confirms the trace and BENCH_results.json are standard JSON, not
+    # only documents our own reader accepts.
     trace_tmp="$(mktemp -t asap-trace.XXXXXX.json)"
     trap 'rm -f "$trace_tmp"' EXIT
     run $ASAP run numa_smoke --trace "$trace_tmp"
     run $ASAP trace-check "$trace_tmp"
+    for doc in "$trace_tmp" BENCH_results.json; do
+        run python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$doc"
+    done
     rm -f "$trace_tmp"
 }
 

@@ -7,7 +7,7 @@
 
 use crate::RunResult;
 use asap_core::ServedByMatrix;
-use asap_telemetry::metrics::escape;
+use asap_telemetry::json::escape;
 use std::fmt::Write as _;
 
 /// Serializes one result row as a single-line JSON object.

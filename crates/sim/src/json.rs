@@ -1,17 +1,18 @@
 //! Machine-readable benchmark results: the `BENCH_results.json`
-//! emitter/parser.
+//! emitter and its schema.
 //!
-//! The workspace is offline (no serde); this hand-rolled writer and
-//! reader cover exactly the flat schema `BENCH_results.json` needs. Runs
-//! are fully deterministic (seeded simulation), so the emitted file is
-//! byte-stable across hosts — diffing it between commits IS the
-//! perf-trajectory check, and [`BenchDoc`] round-trips it byte-identically
-//! (emit → parse → re-emit reproduces the input, pinned by the golden
-//! round-trip test).
+//! The workspace is offline (no serde). The writer here emits exactly
+//! the flat schema `BENCH_results.json` needs; [`BenchDoc::parse`] maps
+//! that schema over the value tree of `asap_telemetry::json`, the
+//! workspace's one JSON reader. Runs are fully deterministic (seeded
+//! simulation), so the emitted file is byte-stable across hosts — diffing
+//! it between commits IS the perf-trajectory check, and [`BenchDoc`]
+//! round-trips it byte-identically (emit → parse → re-emit reproduces the
+//! input, pinned by the golden round-trip test).
 
 use crate::scenarios::ScenarioResults;
 use crate::RunResult;
-use asap_telemetry::metrics::escape;
+use asap_telemetry::json::{self, escape, Value};
 use std::fmt::Write as _;
 
 /// Formats an `f64` as a JSON number (finite values only; the metrics
@@ -261,325 +262,80 @@ impl BenchDoc {
         s
     }
 
-    /// Parses a `BENCH_results.json` document.
+    /// Parses a `BENCH_results.json` document: [`json::parse`], then the
+    /// schema above, keys in emission order. Whitespace between tokens is
+    /// free; [`BenchDoc::to_json`] restores the canonical layout.
     ///
     /// # Errors
     ///
-    /// [`JsonParseError`] (with a byte offset) on malformed JSON or a
+    /// [`json::Error`] (with a byte offset) on malformed JSON or a
     /// document that does not match the schema above.
-    pub fn parse(input: &str) -> Result<Self, JsonParseError> {
-        let mut p = Parser::new(input);
-        let doc = p.document()?;
-        p.skip_ws();
-        if !p.at_end() {
-            return Err(p.err("trailing content after document"));
-        }
-        Ok(doc)
-    }
-}
-
-/// A `BENCH_results.json` parse failure: what went wrong and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonParseError {
-    /// What the parser expected or found.
-    pub message: String,
-    /// Byte offset into the input.
-    pub offset: usize,
-}
-
-impl core::fmt::Display for JsonParseError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for JsonParseError {}
-
-/// A minimal schema-directed JSON parser (whitespace-tolerant; strings,
-/// unsigned integers and decimal floats — all this schema contains).
-struct Parser<'a> {
-    input: &'a str,
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Self { input, pos: 0 }
-    }
-
-    fn err(&self, message: impl Into<String>) -> JsonParseError {
-        JsonParseError {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.input.len()
-    }
-
-    fn skip_ws(&mut self) {
-        let trimmed = self.rest().trim_start_matches([' ', '\t', '\n', '\r']);
-        self.pos = self.input.len() - trimmed.len();
-    }
-
-    fn expect_char(&mut self, token: char) -> Result<(), JsonParseError> {
-        self.skip_ws();
-        if self.rest().starts_with(token) {
-            self.pos += token.len_utf8();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {token:?}")))
-        }
-    }
-
-    /// Consumes `token` if present (after whitespace).
-    fn eat(&mut self, token: char) -> bool {
-        self.skip_ws();
-        if self.rest().starts_with(token) {
-            self.pos += token.len_utf8();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonParseError> {
-        self.expect_char('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest().char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => {
-                    let Some((_, esc)) = chars.next() else { break };
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let Some((_, h)) = chars.next() else {
-                                    return Err(self.err("truncated \\u escape"));
-                                };
-                                let Some(d) = h.to_digit(16) else {
-                                    return Err(self.err("invalid \\u escape digit"));
-                                };
-                                code = code * 16 + d;
-                            }
-                            let Some(c) = char::from_u32(code) else {
-                                return Err(self.err("\\u escape is not a scalar value"));
-                            };
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(self.err(format!("unknown escape \\{other}")));
-                        }
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    /// The raw lexeme of a number (sign, digits, optional fraction).
-    fn number_lexeme(&mut self) -> Result<&'a str, JsonParseError> {
-        self.skip_ws();
-        let rest = self.rest();
-        let len = rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(rest.len());
-        if len == 0 {
-            return Err(self.err("expected a number"));
-        }
-        self.pos += len;
-        Ok(&rest[..len])
-    }
-
-    fn u64_value(&mut self) -> Result<u64, JsonParseError> {
-        let lexeme = self.number_lexeme()?;
-        lexeme
-            .parse()
-            .map_err(|_| self.err(format!("expected an unsigned integer, got {lexeme:?}")))
-    }
-
-    fn f64_value(&mut self) -> Result<f64, JsonParseError> {
-        let lexeme = self.number_lexeme()?;
-        lexeme
-            .parse()
-            .map_err(|_| self.err(format!("expected a number, got {lexeme:?}")))
-    }
-
-    fn key(&mut self, expected: &str) -> Result<(), JsonParseError> {
-        let k = self.string()?;
-        if k != expected {
-            return Err(self.err(format!("expected key {expected:?}, got {k:?}")));
-        }
-        self.expect_char(':')
-    }
-
-    fn document(&mut self) -> Result<BenchDoc, JsonParseError> {
-        self.expect_char('{')?;
-        self.key("schema_version")?;
-        let schema_version = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("tier")?;
-        let tier = self.string()?;
-        self.expect_char(',')?;
-        self.key("scenarios")?;
-        self.expect_char('[')?;
-        let mut scenarios = Vec::new();
-        if !self.eat(']') {
-            loop {
-                scenarios.push(self.scenario()?);
-                if !self.eat(',') {
-                    break;
-                }
-            }
-            self.expect_char(']')?;
-        }
-        self.expect_char('}')?;
-        Ok(BenchDoc {
-            schema_version,
-            tier,
-            scenarios,
+    pub fn parse(input: &str) -> Result<Self, json::Error> {
+        json::parse(input)?.with_members(|m| {
+            Ok(Self {
+                schema_version: m.take("schema_version")?.u64()?,
+                tier: m.take("tier")?.as_str()?.to_owned(),
+                scenarios: list(m.take("scenarios")?, BenchScenario::from_value)?,
+            })
         })
     }
+}
 
-    fn scenario(&mut self) -> Result<BenchScenario, JsonParseError> {
-        self.expect_char('{')?;
-        self.key("scenario")?;
-        let scenario = self.string()?;
-        self.expect_char(',')?;
-        self.key("runs")?;
-        self.expect_char('[')?;
-        let mut runs = Vec::new();
-        if !self.eat(']') {
-            loop {
-                runs.push(self.run()?);
-                if !self.eat(',') {
-                    break;
-                }
-            }
-            self.expect_char(']')?;
-        }
-        let mut errors = Vec::new();
-        if self.eat(',') {
-            self.key("errors")?;
-            self.expect_char('[')?;
-            if !self.eat(']') {
-                loop {
-                    errors.push(self.error_entry()?);
-                    if !self.eat(',') {
-                        break;
-                    }
-                }
-                self.expect_char(']')?;
-            }
-        }
-        self.expect_char('}')?;
-        Ok(BenchScenario {
-            scenario,
-            runs,
-            errors,
+/// Maps each element of an array value.
+fn list<T>(
+    v: &Value<'_>,
+    f: fn(&Value<'_>) -> Result<T, json::Error>,
+) -> Result<Vec<T>, json::Error> {
+    v.array()?.iter().map(f).collect()
+}
+
+impl BenchScenario {
+    fn from_value(v: &Value<'_>) -> Result<Self, json::Error> {
+        v.with_members(|m| {
+            Ok(Self {
+                scenario: m.take("scenario")?.as_str()?.to_owned(),
+                runs: list(m.take("runs")?, BenchRun::from_value)?,
+                errors: match m.take_opt("errors") {
+                    Some(errors) => list(errors, BenchError::from_value)?,
+                    None => Vec::new(),
+                },
+            })
         })
     }
+}
 
-    fn error_entry(&mut self) -> Result<BenchError, JsonParseError> {
-        self.expect_char('{')?;
-        self.key("workload")?;
-        let workload = self.string()?;
-        self.expect_char(',')?;
-        self.key("variant")?;
-        let variant = self.string()?;
-        self.expect_char(',')?;
-        self.key("error")?;
-        let error = self.string()?;
-        self.expect_char('}')?;
-        Ok(BenchError {
-            workload,
-            variant,
-            error,
+impl BenchError {
+    fn from_value(v: &Value<'_>) -> Result<Self, json::Error> {
+        v.with_members(|m| {
+            Ok(Self {
+                workload: m.take("workload")?.as_str()?.to_owned(),
+                variant: m.take("variant")?.as_str()?.to_owned(),
+                error: m.take("error")?.as_str()?.to_owned(),
+            })
         })
     }
+}
 
-    fn run(&mut self) -> Result<BenchRun, JsonParseError> {
-        self.expect_char('{')?;
-        self.key("workload")?;
-        let workload = self.string()?;
-        self.expect_char(',')?;
-        self.key("variant")?;
-        let variant = self.string()?;
-        self.expect_char(',')?;
-        self.key("label")?;
-        let label = self.string()?;
-        self.expect_char(',')?;
-        self.key("walks")?;
-        let walks = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("avg_walk_latency")?;
-        let avg_walk_latency = self.f64_value()?;
-        self.expect_char(',')?;
-        self.key("walk_cycles")?;
-        let walk_cycles = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("cycles")?;
-        let cycles = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("walk_fraction")?;
-        let walk_fraction = self.f64_value()?;
-        self.expect_char(',')?;
-        self.key("mpki")?;
-        let mpki = self.f64_value()?;
-        self.expect_char(',')?;
-        self.key("l2_tlb_misses")?;
-        let l2_tlb_misses = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("l2_tlb_accesses")?;
-        let l2_tlb_accesses = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("instructions")?;
-        let instructions = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("prefetches_issued")?;
-        let prefetches_issued = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("prefetches_dropped")?;
-        let prefetches_dropped = self.u64_value()?;
-        self.expect_char(',')?;
-        self.key("faults")?;
-        let faults = self.u64_value()?;
-        self.expect_char('}')?;
-        Ok(BenchRun {
-            workload,
-            variant,
-            label,
-            walks,
-            avg_walk_latency,
-            walk_cycles,
-            cycles,
-            walk_fraction,
-            mpki,
-            l2_tlb_misses,
-            l2_tlb_accesses,
-            instructions,
-            prefetches_issued,
-            prefetches_dropped,
-            faults,
+impl BenchRun {
+    fn from_value(v: &Value<'_>) -> Result<Self, json::Error> {
+        v.with_members(|m| {
+            Ok(Self {
+                workload: m.take("workload")?.as_str()?.to_owned(),
+                variant: m.take("variant")?.as_str()?.to_owned(),
+                label: m.take("label")?.as_str()?.to_owned(),
+                walks: m.take("walks")?.u64()?,
+                avg_walk_latency: m.take("avg_walk_latency")?.f64()?,
+                walk_cycles: m.take("walk_cycles")?.u64()?,
+                cycles: m.take("cycles")?.u64()?,
+                walk_fraction: m.take("walk_fraction")?.f64()?,
+                mpki: m.take("mpki")?.f64()?,
+                l2_tlb_misses: m.take("l2_tlb_misses")?.u64()?,
+                l2_tlb_accesses: m.take("l2_tlb_accesses")?.u64()?,
+                instructions: m.take("instructions")?.u64()?,
+                prefetches_issued: m.take("prefetches_issued")?.u64()?,
+                prefetches_dropped: m.take("prefetches_dropped")?.u64()?,
+                faults: m.take("faults")?.u64()?,
+            })
         })
     }
 }
@@ -748,14 +504,25 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "{\"schema_version\": 1}",
-            "{\"schema_version\": \"x\", \"tier\": \"t\", \"scenarios\": []}",
-            "{\"schema_version\": 1, \"tier\": \"t\", \"scenarios\": []} trailing",
+        for (bad, at) in [
+            ("", 0),
+            ("{", 1),
+            ("{\"schema_version\": 1}", 0),
+            (
+                "{\"schema_version\": \"x\", \"tier\": \"t\", \"scenarios\": []}",
+                19,
+            ),
+            (
+                "{\"schema_version\": 1, \"tier\": \"t\", \"scenarios\": []} trailing",
+                52,
+            ),
+            (
+                "{\"schema_version\": 1, \"tier\": \"t\", \"scenarios\": [], \"x\": 0}",
+                57,
+            ),
         ] {
             let err = BenchDoc::parse(bad).unwrap_err();
+            assert_eq!(err.offset, at, "{bad:?} must not parse: {err}");
             assert!(!err.to_string().is_empty(), "{bad:?} must not parse");
         }
     }

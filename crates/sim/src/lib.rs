@@ -21,8 +21,10 @@
 //! * [`parallel_map`] — deterministic fan-out of independent runs across
 //!   host threads;
 //! * [`Table`] / [`results_to_json`] / [`BenchDoc`] — the markdown
-//!   renderer and the machine-readable `BENCH_results.json`
-//!   emitter/parser used by the `asap` CLI.
+//!   renderer and the machine-readable `BENCH_results.json` emitter used
+//!   by the `asap` CLI; [`BenchDoc::parse`] reads the file back as a
+//!   schema mapping over `asap_telemetry::json`, the workspace's one JSON
+//!   reader.
 //!
 //! # Examples
 //!
@@ -66,7 +68,7 @@ pub use driver::{
     run_cores, run_cores_observed, run_scenario, CoreSlot, DriverError, DriverErrorKind,
     DriverObserver, RunMeta, OS_RUN_AHEAD_DEPTH,
 };
-pub use json::{results_to_json, BenchDoc, BenchError, BenchRun, BenchScenario, JsonParseError};
+pub use json::{results_to_json, BenchDoc, BenchError, BenchRun, BenchScenario};
 pub use parallel::parallel_map;
 pub use report::{fmt_cycles, fmt_pct, fmt_ratio, Table};
 pub use result::{RunOutput, RunResult};

@@ -11,7 +11,7 @@
 //! makes the CI round-trip gate (`asap trace-check`) a byte-identity
 //! check rather than a semantic diff.
 
-use crate::metrics::escape;
+use crate::json::{self, escape, Value};
 use crate::trace::TraceEvent;
 use crate::trace::TraceEventKind;
 
@@ -167,209 +167,55 @@ pub fn to_json(events: &[ChromeEvent]) -> String {
     out
 }
 
-/// Why a document failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset the parser gave up at.
-    pub at: usize,
-    /// What it expected there.
-    pub expected: &'static str,
-}
-
-impl core::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "byte {}: expected {}", self.at, self.expected)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 /// Parses a document emitted by [`to_json`]. Strict by design: the
-/// grammar is exactly the emitter's canonical layout, so
-/// `to_json(&parse(doc)?) == doc` for every accepted `doc`.
+/// document must be exactly the emitter's canonical layout, so
+/// `to_json(&parse(doc)?) == doc` for every accepted `doc`. The events
+/// are read with [`json::parse`], then re-emitted and compared.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on the first byte deviating from the canonical
-/// layout.
-pub fn parse(text: &str) -> Result<Vec<ChromeEvent>, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.expect_str("{\"traceEvents\": [\n")?;
-    let mut events = Vec::new();
-    if !p.peek("]}") {
-        loop {
-            events.push(p.event()?);
-            if p.eat(",\n") {
-                continue;
-            }
-            p.expect_str("\n")?;
-            break;
-        }
-    }
-    p.expect_str("]}\n")?;
-    if p.pos != p.bytes.len() {
-        return Err(p.err("end of document"));
+/// [`json::Error`] at the first byte that is not JSON, does not fit the
+/// event schema, or differs from the canonical layout.
+pub fn parse(text: &str) -> Result<Vec<ChromeEvent>, json::Error> {
+    // The value tree is dropped before the canonical copy is built.
+    let events: Vec<ChromeEvent> = json::parse(text)?.with_members(|m| {
+        let events = m.take("traceEvents")?.array()?.iter().map(event);
+        events.collect()
+    })?;
+    let canonical = to_json(&events);
+    if canonical != text {
+        let same = canonical.bytes().zip(text.bytes());
+        let at = same.take_while(|(a, b)| a == b).count();
+        return Err(json::Error::new(at, "differs from the canonical layout"));
     }
     Ok(events)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, expected: &'static str) -> ParseError {
-        ParseError {
-            at: self.pos,
-            expected,
-        }
-    }
-
-    fn peek(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn eat(&mut self, s: &str) -> bool {
-        if self.peek(s) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_str(&mut self, s: &'static str) -> Result<(), ParseError> {
-        if self.eat(s) {
-            Ok(())
-        } else {
-            Err(self.err(s))
-        }
-    }
-
-    fn num(&mut self) -> Result<u64, ParseError> {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("digit"));
-        }
-        core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("u64"))
-    }
-
-    /// A quoted string, unescaping what [`escape`] produces.
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect_str("\"")?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("closing quote")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| core::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| self.err("\\uXXXX escape"))?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("escape character")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let s = core::str::from_utf8(
-                        self.bytes
-                            .get(self.pos..self.pos + len)
-                            .ok_or_else(|| self.err("utf-8 sequence"))?,
-                    )
-                    .map_err(|_| self.err("utf-8 sequence"))?;
-                    out.push_str(s);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn event(&mut self) -> Result<ChromeEvent, ParseError> {
-        self.expect_str("{\"ph\":\"")?;
-        let ph = if self.eat("M") {
-            Ph::Meta
-        } else if self.eat("X") {
-            Ph::Complete
-        } else if self.eat("i") {
-            Ph::Instant
-        } else {
-            return Err(self.err("phase M, X or i"));
+/// Maps one event object, taking its keys in emission order. Which keys
+/// a phase carries is left to the canonical-layout check in [`parse`].
+fn event(v: &Value<'_>) -> Result<ChromeEvent, json::Error> {
+    v.with_members(|m| {
+        let ph_value = m.take("ph")?;
+        let ph = match ph_value.as_str()? {
+            "M" => Ph::Meta,
+            "X" => Ph::Complete,
+            "i" => Ph::Instant,
+            _ => return Err(ph_value.error("expected phase M, X or i")),
         };
-        self.expect_str("\",\"pid\":")?;
-        let pid = self.num()? as u32;
-        self.expect_str(",\"tid\":")?;
-        let tid = self.num()? as u32;
-        let mut ts = None;
-        let mut dur = None;
-        match ph {
-            Ph::Meta => {}
-            Ph::Complete => {
-                self.expect_str(",\"ts\":")?;
-                ts = Some(self.num()?);
-                self.expect_str(",\"dur\":")?;
-                dur = Some(self.num()?);
-            }
-            Ph::Instant => {
-                self.expect_str(",\"ts\":")?;
-                ts = Some(self.num()?);
-                self.expect_str(",\"s\":\"t\"")?;
-            }
-        }
-        self.expect_str(",\"name\":")?;
-        let name = self.string()?;
-        self.expect_str(",\"args\":{")?;
-        let mut args = Vec::new();
-        if !self.eat("}") {
-            loop {
-                let key = self.string()?;
-                self.expect_str(":")?;
-                let value = if self.peek("\"") {
-                    ArgValue::Str(self.string()?)
-                } else {
-                    ArgValue::Num(self.num()?)
-                };
-                args.push((key, value));
-                if self.eat(",") {
-                    continue;
-                }
-                self.expect_str("}")?;
-                break;
-            }
-        }
-        self.expect_str("}")?;
+        let pid = id(m.take("pid")?)?;
+        let tid = id(m.take("tid")?)?;
+        let ts = m.take_opt("ts").map(Value::u64).transpose()?;
+        let dur = m.take_opt("dur").map(Value::u64).transpose()?;
+        m.take_opt("s"); // an instant's scope, always "t"
+        let name = m.take("name")?.as_str()?.to_owned();
+        let args = m.take("args")?.object()?.iter().map(|(k, v)| {
+            let value = match v.as_str() {
+                Ok(s) => ArgValue::Str(s.to_owned()),
+                Err(_) => ArgValue::Num(v.u64()?),
+            };
+            Ok((k.as_ref().to_owned(), value))
+        });
+        let args = args.collect::<Result<_, json::Error>>()?;
         Ok(ChromeEvent {
             ph,
             pid,
@@ -379,7 +225,12 @@ impl<'a> Parser<'a> {
             name,
             args,
         })
-    }
+    })
+}
+
+/// A pid or tid: an unsigned integer that fits in `u32`.
+fn id(v: &Value<'_>) -> Result<u32, json::Error> {
+    u32::try_from(v.u64()?).map_err(|_| v.error("expected an id of at most u32::MAX"))
 }
 
 #[cfg(test)]
@@ -468,7 +319,23 @@ mod tests {
         assert!(parse("{}").is_err());
         assert!(parse("{\"traceEvents\": [\n]}").is_err(), "missing newline");
         let err = parse("{\"traceEvents\": [\nnope\n]}\n").unwrap_err();
-        assert_eq!(err.expected, "{\"ph\":\"");
+        assert_eq!(err.offset, 18, "at the first byte of the bad event");
         assert!(!err.to_string().is_empty());
+        // A pid or tid above u32::MAX is an error, not a wrapped id.
+        for (id, at) in [
+            ("\"pid\":4294967297,\"tid\":0", 34),
+            ("\"pid\":1,\"tid\":4294967296", 42),
+        ] {
+            let doc = format!(
+                "{{\"traceEvents\": [\n{{\"ph\":\"M\",{id},\"name\":\"process_name\",\"args\":{{}}}}\n]}}\n"
+            );
+            let err = parse(&doc).unwrap_err();
+            assert_eq!(err.offset, at, "{doc}");
+            assert!(err.message.contains("u32::MAX"), "{err}");
+        }
+        // A non-canonical layout is rejected at its first differing byte.
+        let mut json = to_json(&sample());
+        json.insert(19, ' ');
+        assert_eq!(parse(&json).unwrap_err().offset, 19);
     }
 }

@@ -9,7 +9,7 @@
 //! are produced with telemetry disabled and must stay byte-identical —
 //! CI asserts exactly that.
 //!
-//! Three concerns, three modules:
+//! The modules:
 //!
 //! - [`metrics`]: `Counter`/`Gauge`/`Histogram` values collected into a
 //!   [`MetricSet`] via the [`Collect`] trait that every `*Stats` struct
@@ -17,9 +17,12 @@
 //! - [`trace`]: [`TraceSink`], a fixed-capacity ring buffer of
 //!   [`TraceEvent`]s (TLB hits, walks, prefetches, MSHR merges, NUMA
 //!   hops, scheduler arbitration) stamped in simulated cycles.
-//! - [`chrome`]: the Chrome trace-event JSON emitter and its
-//!   schema-directed parser (`asap run --trace out.json`, byte-identical
-//!   round trip gated in CI).
+//! - [`chrome`]: the Chrome trace-event JSON emitter and its strict
+//!   reader (`asap run --trace out.json`, byte-identical round trip
+//!   gated in CI).
+//! - [`json`]: the workspace's one JSON module — the string escape every
+//!   writer uses, and the reader that both `chrome::parse` and
+//!   `asap_sim::BenchDoc::parse` map their schemas over.
 //! - [`profile`]: [`PhaseProfile`], the per-run wall-clock split of the
 //!   driver loop (setup / warmup / measure / stats-flush) behind
 //!   `asap run --profile`.
@@ -28,11 +31,12 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use chrome::{ArgValue, ChromeEvent, ParseError, Ph};
+pub use chrome::{ArgValue, ChromeEvent, Ph};
 pub use metrics::{Collect, HistogramSnapshot, Metric, MetricSet, MetricValue};
 pub use profile::PhaseProfile;
 pub use trace::{CoreTrace, TraceEvent, TraceEventKind, TraceSink};

@@ -7,6 +7,8 @@
 //! `tlb_l2_`, …) so the same stats type can appear more than once in a
 //! snapshot without colliding.
 
+use crate::json::escape;
+
 /// A point-in-time snapshot of a power-of-two histogram (the shape of
 /// `WalkLatencyStats` in `asap-core`): bucket `i` counts samples in
 /// `[2^i, 2^(i+1))`.
@@ -161,25 +163,6 @@ fn metric_json(m: &Metric) -> String {
     }
 }
 
-/// Escapes a string for JSON embedding: the workspace's one JSON string
-/// escape, shared by the trace, metrics and result-file writers. Control
-/// characters other than `\n` become `\uXXXX`, the only form
-/// [`crate::chrome::parse`] reads back.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,11 +222,5 @@ mod tests {
         let json = set.to_json(0);
         assert!(json.contains("\"buckets\": [0, 1, 2]"));
         assert!(json.contains("\"count\": 3, \"total\": 30, \"min\": 8, \"max\": 12"));
-    }
-
-    #[test]
-    fn escape_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }
