@@ -123,13 +123,14 @@ smoke() {
     # output Perfetto consumes can never silently drift from the parser.
     # Python's json module, a reader written outside this repo, then
     # confirms the trace and BENCH_results.json are standard JSON, not
-    # only documents our own reader accepts.
+    # only documents our own reader accepts. It reads NaN and Infinity
+    # by default, so those constants are rejected explicitly.
     trace_tmp="$(mktemp -t asap-trace.XXXXXX.json)"
     trap 'rm -f "$trace_tmp"' EXIT
     run $ASAP run numa_smoke --trace "$trace_tmp"
     run $ASAP trace-check "$trace_tmp"
     for doc in "$trace_tmp" BENCH_results.json; do
-        run python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$doc"
+        run python3 -c 'import json,sys; json.load(open(sys.argv[1]), parse_constant=lambda c: sys.exit(f"non-standard JSON constant {c}"))' "$doc"
     done
     rm -f "$trace_tmp"
 }

@@ -169,18 +169,19 @@ pub fn to_json(events: &[ChromeEvent]) -> String {
 
 /// Parses a document emitted by [`to_json`]. Strict by design: the
 /// document must be exactly the emitter's canonical layout, so
-/// `to_json(&parse(doc)?) == doc` for every accepted `doc`. The events
-/// are read with [`json::parse`], then re-emitted and compared.
+/// `to_json(&parse(doc)?) == doc` for every accepted `doc`. Each event is
+/// mapped as [`json::parse_array_member`] reads it; the events are then
+/// re-emitted and compared.
 ///
 /// # Errors
 ///
 /// [`json::Error`] at the first byte that is not JSON, does not fit the
 /// event schema, or differs from the canonical layout.
 pub fn parse(text: &str) -> Result<Vec<ChromeEvent>, json::Error> {
-    // The value tree is dropped before the canonical copy is built.
-    let events: Vec<ChromeEvent> = json::parse(text)?.with_members(|m| {
-        let events = m.take("traceEvents")?.array()?.iter().map(event);
-        events.collect()
+    let mut events = Vec::new();
+    json::parse_array_member(text, "traceEvents", |v| {
+        events.push(event(&v)?);
+        Ok(())
     })?;
     let canonical = to_json(&events);
     if canonical != text {
@@ -191,8 +192,8 @@ pub fn parse(text: &str) -> Result<Vec<ChromeEvent>, json::Error> {
     Ok(events)
 }
 
-/// Maps one event object, taking its keys in emission order. Which keys
-/// a phase carries is left to the canonical-layout check in [`parse`].
+/// Maps one event object, taking its keys in emission order: a phase's
+/// keys are exactly those [`ChromeEvent::emit`] writes for it.
 fn event(v: &Value<'_>) -> Result<ChromeEvent, json::Error> {
     v.with_members(|m| {
         let ph_value = m.take("ph")?;
@@ -204,9 +205,13 @@ fn event(v: &Value<'_>) -> Result<ChromeEvent, json::Error> {
         };
         let pid = id(m.take("pid")?)?;
         let tid = id(m.take("tid")?)?;
-        let ts = m.take_opt("ts").map(Value::u64).transpose()?;
-        let dur = m.take_opt("dur").map(Value::u64).transpose()?;
-        m.take_opt("s"); // an instant's scope, always "t"
+        let ts = (ph != Ph::Meta).then(|| m.take("ts")?.u64()).transpose()?;
+        let dur = (ph == Ph::Complete)
+            .then(|| m.take("dur")?.u64())
+            .transpose()?;
+        if ph == Ph::Instant {
+            m.take("s")?; // the scope, "t": the re-emit checks it
+        }
         let name = m.take("name")?.as_str()?.to_owned();
         let args = m.take("args")?.object()?.iter().map(|(k, v)| {
             let value = match v.as_str() {
@@ -332,6 +337,34 @@ mod tests {
             let err = parse(&doc).unwrap_err();
             assert_eq!(err.offset, at, "{doc}");
             assert!(err.message.contains("u32::MAX"), "{err}");
+        }
+        // Each phase carries exactly its own keys, in emission order.
+        for (event, at, key) in [
+            (
+                r#"{"ph":"M","pid":1,"tid":0,"ts":5,"name":"n","args":{}}"#,
+                49,
+                "\"ts\"",
+            ),
+            (
+                r#"{"ph":"X","pid":1,"tid":1,"ts":5,"name":"n","args":{}}"#,
+                58,
+                "\"dur\"",
+            ),
+            (
+                r#"{"ph":"i","pid":1,"tid":1,"ts":5,"dur":1,"s":"t","name":"n","args":{}}"#,
+                57,
+                "\"dur\"",
+            ),
+            (
+                r#"{"ph":"i","pid":1,"tid":1,"ts":5,"s":"p","name":"n","args":{}}"#,
+                56,
+                "canonical",
+            ),
+        ] {
+            let doc = format!("{{\"traceEvents\": [\n{event}\n]}}\n");
+            let err = parse(&doc).unwrap_err();
+            assert_eq!(err.offset, at, "{doc}: {err}");
+            assert!(err.message.contains(key), "{err}");
         }
         // A non-canonical layout is rejected at its first differing byte.
         let mut json = to_json(&sample());

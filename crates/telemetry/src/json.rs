@@ -10,7 +10,10 @@
 //! order its emitter writes them ([`Value::with_members`]). Every
 //! failure, lexical or schema, is one [`Error`] with a byte offset: the
 //! accessors fail at the value when it is of another kind. The tree
-//! borrows from the input; only strings with escapes are copied.
+//! borrows from the input; only strings with escapes are copied. A
+//! document that is one long array, such as a trace, is read with
+//! [`parse_array_member`], which hands over one element's tree at a
+//! time instead of holding them all.
 
 use std::borrow::Cow;
 
@@ -133,22 +136,22 @@ impl<'a> Value<'a> {
     /// A number that is an unsigned 64-bit integer (no sign, fraction or
     /// exponent).
     pub fn u64(&self) -> Result<u64, Error> {
-        match self.kind {
-            Kind::Num(lexeme) => lexeme
-                .parse()
-                .map_err(|_| self.error(format!("expected an unsigned integer, got {lexeme}"))),
-            _ => Err(self.error("expected an unsigned integer")),
-        }
+        self.number("an unsigned integer")
     }
 
     /// A number, as the nearest `f64`.
     pub fn f64(&self) -> Result<f64, Error> {
-        match self.kind {
-            Kind::Num(lexeme) => lexeme
-                .parse()
-                .map_err(|_| self.error(format!("expected a number, got {lexeme}"))),
-            _ => Err(self.error("expected a number")),
-        }
+        self.number("a number")
+    }
+
+    fn number<T: std::str::FromStr>(&self, what: &str) -> Result<T, Error> {
+        let lexeme = match self.kind {
+            Kind::Num(lexeme) => lexeme,
+            _ => "",
+        };
+        lexeme
+            .parse()
+            .map_err(|_| self.error(format!("expected {what}")))
     }
 }
 
@@ -162,10 +165,7 @@ pub struct Members<'v> {
 impl<'v> Members<'v> {
     /// Takes the next member, which must have key `key`.
     pub fn take(&mut self, key: &str) -> Result<&'v Value<'v>, Error> {
-        if let Some(value) = self.take_opt(key) {
-            return Ok(value);
-        }
-        Err(match self.rest.first() {
+        self.take_opt(key).ok_or_else(|| match self.rest.first() {
             Some((k, v)) => v.error(format!("expected key {key:?}, got {k:?}")),
             None => Error::new(self.at, format!("object lacks key {key:?}")),
         })
@@ -192,11 +192,36 @@ impl<'v> Members<'v> {
 pub fn parse(text: &str) -> Result<Value<'_>, Error> {
     let mut p = Parser { text, pos: 0 };
     let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos < text.len() {
-        return Err(p.err("trailing content after the document"));
-    }
+    p.end()?;
     Ok(value)
+}
+
+/// Reads a document that is an object whose one member, `key`, is an
+/// array, handing each element to `f` as it is read rather than building
+/// the array, so only one element's tree is held at a time. Errors come
+/// in document order, schema errors included: the first bad byte wins.
+///
+/// # Errors
+///
+/// As [`parse`], and where the document is not such an object, or `f`
+/// fails on an element.
+pub fn parse_array_member<'a>(
+    text: &'a str,
+    key: &str,
+    mut f: impl FnMut(Value<'a>) -> Result<(), Error>,
+) -> Result<(), Error> {
+    let mut p = Parser { text, pos: 0 };
+    p.expect(b'{')?;
+    let found = p.string()?;
+    p.expect(b':')?;
+    p.skip_ws();
+    if found != key || p.peek() != Some(b'[') {
+        return Err(p.err(format!("expected key {key:?} holding an array")));
+    }
+    // A `Vec<()>` of the results never allocates.
+    p.items(b']', |p| f(p.value(2)?))?;
+    p.expect(b'}')?;
+    p.end()
 }
 
 struct Parser<'a> {
@@ -207,6 +232,15 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> Error {
         Error::new(self.pos, message)
+    }
+
+    /// Fails unless only whitespace is left.
+    fn end(mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos < self.text.len() {
+            return Err(self.err("trailing content after the document"));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -261,16 +295,15 @@ impl<'a> Parser<'a> {
         mut item: impl FnMut(&mut Self) -> Result<T, Error>,
     ) -> Result<Vec<T>, Error> {
         self.pos += 1;
-        let mut items = Vec::new();
         if self.eat(close) {
-            return Ok(items);
+            return Ok(Vec::new());
         }
+        // A trace event has at most eight keys: one allocation.
+        let mut items = Vec::with_capacity(8);
         loop {
             items.push(item(self)?);
             if !self.eat(b',') {
                 self.expect(close)?;
-                // A trace holds hundreds of thousands of small objects.
-                items.shrink_to_fit();
                 return Ok(items);
             }
         }
@@ -282,7 +315,8 @@ impl<'a> Parser<'a> {
         loop {
             let rest = &self.text[self.pos..];
             let run = rest
-                .find(|c: char| c == '"' || c == '\\' || c < ' ')
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\' || b < b' ')
                 .unwrap_or(rest.len());
             if out.is_empty() {
                 out = Cow::Borrowed(&rest[..run]);
@@ -444,10 +478,41 @@ mod tests {
         );
     }
 
+    #[test]
+    fn array_member_hands_each_element_over_as_it_is_read() {
+        let mut seen = Vec::new();
+        let err = parse_array_member(r#"{"k": [{"a": 1}, 2, [}"#, "k", |v| {
+            seen.push(v.at);
+            Ok(())
+        })
+        .unwrap_err();
+        // Both elements reached `f` before the reader found the bad byte.
+        assert_eq!((seen, err.offset), (vec![7, 17], 21));
+        let err = parse_array_member(r#"{"k": [1, 2]}"#, "k", |v| match v.u64()? {
+            1 => Ok(()),
+            _ => Err(v.error("not one")),
+        })
+        .unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (10, "not one"));
+        for (doc, at) in [
+            (r#"{"k": {}}"#, 6),
+            (r#"{"j": []}"#, 6),
+            (r#"{"k": [], "j": 1}"#, 8),
+        ] {
+            let err = parse_array_member(doc, "k", |_| Ok(())).unwrap_err();
+            assert_eq!(err.offset, at, "{doc}: {err}");
+        }
+        assert_eq!(
+            parse_array_member(" {\"k\": [ ] } ", "k", |_| Ok(())),
+            Ok(())
+        );
+    }
+
     /// Every input the two formats' old parsers rejected, and more: each
     /// is still rejected, at the byte given. The first group is
     /// `BenchDoc`'s malformed documents, the second the non-canonical
-    /// Chrome traces; `chrome::parse` rejects all of them.
+    /// Chrome traces; `chrome::parse` rejects all of them, at the first
+    /// bad byte for its schema.
     #[test]
     fn malformed_inputs_are_rejected_at_an_offset() {
         let cases: &[(&str, Option<usize>, usize)] = &[
@@ -463,32 +528,43 @@ mod tests {
             (
                 "{\"schema_version\": 1, \"tier\": \"t\", \"scenarios\": []} trailing",
                 Some(52),
-                52,
+                19,
             ),
-            ("{}", None, 0),
+            ("{}", None, 1),
             ("{\"traceEvents\": [\n]}", None, 20),
             ("{\"traceEvents\": [\nnope\n]}\n", Some(18), 18),
-            ("[1,]", Some(3), 3),
-            ("[01]", Some(1), 1),
-            ("[1.]", Some(3), 3),
-            ("-", Some(1), 1),
+            ("{\"traceEvents\": [\n]} x", Some(21), 21),
+            ("[1,]", Some(3), 0),
+            ("[01]", Some(1), 0),
+            ("[1.]", Some(3), 0),
+            ("-", Some(1), 0),
             ("null", Some(0), 0),
-            ("\"\\x\"", Some(1), 1),
-            ("\"\\u12\"", Some(3), 3),
-            ("\"\\udc00\"", Some(1), 1),
-            ("\"a\nb\"", Some(2), 2),
-            ("\"abc", Some(4), 4),
+            ("\"\\x\"", Some(1), 0),
+            ("\"\\u12\"", Some(3), 0),
+            ("\"\\udc00\"", Some(1), 0),
+            ("\"a\nb\"", Some(2), 0),
+            ("\"abc", Some(4), 0),
             ("{\"a\" 1}", Some(5), 5),
             ("{1: 2}", Some(1), 1),
         ];
+        let head = "{\"traceEvents\": [\n";
         for &(input, reader, chrome_at) in cases {
             assert_eq!(parse(input).err().map(|e| e.offset), reader, "{input:?}");
             let err = chrome::parse(input).unwrap_err();
             assert_eq!(err.offset, chrome_at, "{input:?}: {err}");
             assert!(err.to_string().ends_with(&format!("at byte {chrome_at}")));
+            // As a trace event, a lexical error is found at its own byte.
+            if let (Some(at), false) = (reader, input.starts_with('{')) {
+                let doc = format!("{head}{input}\n]}}\n");
+                let err = chrome::parse(&doc).unwrap_err();
+                assert_eq!(err.offset, head.len() + at, "{doc:?}: {err}");
+            }
         }
         let deep = "[".repeat(MAX_DEPTH + 2);
         assert_eq!(parse(&deep).unwrap_err().offset, MAX_DEPTH + 1);
+        // A streamed event starts two levels down.
+        let err = chrome::parse(&format!("{head}{deep}")).unwrap_err();
+        assert_eq!(err.offset, head.len() + MAX_DEPTH - 1);
     }
 
     proptest! {
