@@ -4,8 +4,6 @@
 //! the simulator: data caches, L1/L2 TLBs, page-walk caches and the clustered
 //! TLB all wrap [`SetAssoc`] with their own tag and payload types.
 
-use crate::replacement::{RankLru, MAX_WAYS};
-
 /// An entry evicted by an insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction<K, V> {
@@ -27,11 +25,12 @@ struct Way<K, V> {
 /// with different address bits), while `SetAssoc` owns way management,
 /// replacement and eviction.
 ///
-/// Storage is a single set-major arena (`slots[set * ways + w]`) plus one
-/// structure-wide array of exact-LRU ranks, rather than a `Vec` of per-set
-/// `Vec`s: a lookup touches one contiguous run of ways with no per-set
-/// pointer chase, which is what the simulator's hot loop spends most of its
-/// time doing.
+/// Storage is a single set-major arena of `Option` slots
+/// (`slots[set * ways + r]`), each set kept in recency order: its valid
+/// entries lead, most recent first, and its empty slots trail. A hit
+/// rotates its entry to the front; an insertion shifts the set right by one
+/// and takes the front, so the entry shifted off the end is the exact-LRU
+/// victim (or an empty slot). Lookups stop at the first empty slot.
 ///
 /// # Examples
 ///
@@ -51,7 +50,6 @@ pub struct SetAssoc<K, V> {
     slots: Vec<Option<Way<K, V>>>,
     num_sets: usize,
     ways: usize,
-    lru: RankLru,
 }
 
 impl<K: Eq + Copy, V> SetAssoc<K, V> {
@@ -60,19 +58,15 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` is zero or `ways` is not in `1..=256`.
+    /// Panics if `num_sets` or `ways` is zero.
     #[must_use]
     pub fn new(num_sets: usize, ways: usize) -> Self {
         assert!(num_sets > 0, "need at least one set");
-        assert!(
-            (1..=MAX_WAYS).contains(&ways),
-            "ways must be in 1..={MAX_WAYS}, got {ways}"
-        );
+        assert!(ways > 0, "need at least one way");
         Self {
             slots: (0..num_sets * ways).map(|_| None).collect(),
             num_sets,
             ways,
-            lru: RankLru::new(num_sets, ways),
         }
     }
 
@@ -94,49 +88,60 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
         self.num_sets * self.ways
     }
 
+    /// The slots of `set`, most recent first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` is out of range.
+    fn set(&self, set: usize) -> &[Option<Way<K, V>>] {
+        assert!(set < self.num_sets, "set {set} out of range");
+        &self.slots[set * self.ways..(set + 1) * self.ways]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Option<Way<K, V>>] {
+        assert!(set < self.num_sets, "set {set} out of range");
+        &mut self.slots[set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// The recency position of `key` in `set`, scanning the valid prefix.
+    fn find(&self, set: usize, key: &K) -> Option<usize> {
+        for (pos, slot) in self.set(set).iter().enumerate() {
+            match slot {
+                Some(way) if way.key == *key => return Some(pos),
+                Some(_) => {}
+                None => return None,
+            }
+        }
+        None
+    }
+
+    /// Moves the entry at `pos` of `set` to the front and returns it.
+    fn promote(&mut self, set: usize, pos: usize) -> Option<&mut Way<K, V>> {
+        let slots = self.set_mut(set);
+        slots[..=pos].rotate_right(1);
+        slots[0].as_mut()
+    }
+
     /// Looks up `key` in `set`, updating recency on a hit.
     ///
     /// # Panics
     ///
     /// Panics if `set` is out of range.
     pub fn lookup(&mut self, set: usize, key: &K) -> Option<&V> {
-        let base = set * self.ways;
-        assert!(set < self.num_sets, "set {set} out of range");
-        for w in 0..self.ways {
-            if let Some(way) = &self.slots[base + w] {
-                if way.key == *key {
-                    self.lru.touch(set, w);
-                    return self.slots[base + w].as_ref().map(|way| &way.value);
-                }
-            }
-        }
-        None
+        self.lookup_mut(set, key).map(|v| &*v)
     }
 
     /// Looks up `key` in `set` returning a mutable payload, updating recency.
     pub fn lookup_mut(&mut self, set: usize, key: &K) -> Option<&mut V> {
-        let base = set * self.ways;
-        assert!(set < self.num_sets, "set {set} out of range");
-        for w in 0..self.ways {
-            if let Some(way) = &self.slots[base + w] {
-                if way.key == *key {
-                    self.lru.touch(set, w);
-                    return self.slots[base + w].as_mut().map(|way| &mut way.value);
-                }
-            }
-        }
-        None
+        let pos = self.find(set, key)?;
+        self.promote(set, pos).map(|way| &mut way.value)
     }
 
     /// Checks for `key` in `set` without updating replacement state.
     #[must_use]
     pub fn probe(&self, set: usize, key: &K) -> Option<&V> {
-        let base = set * self.ways;
-        self.slots[base..base + self.ways]
-            .iter()
-            .flatten()
-            .find(|way| way.key == *key)
-            .map(|way| &way.value)
+        let pos = self.find(set, key)?;
+        self.set(set)[pos].as_ref().map(|way| &way.value)
     }
 
     /// Inserts `key -> value` into `set`, returning any eviction.
@@ -144,53 +149,32 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     /// If `key` is already present its payload is replaced (no eviction is
     /// reported) and its recency refreshed.
     pub fn insert(&mut self, set: usize, key: K, value: V) -> Option<Eviction<K, V>> {
-        let ways = self.ways;
-        let base = set * ways;
-        assert!(set < self.num_sets, "set {set} out of range");
-        // Hit: replace in place.
-        for w in 0..ways {
-            if let Some(way) = &mut self.slots[base + w] {
-                if way.key == key {
-                    way.value = value;
-                    self.lru.touch(set, w);
-                    return None;
-                }
+        if let Some(pos) = self.find(set, &key) {
+            if let Some(way) = self.promote(set, pos) {
+                way.value = value;
             }
+            return None;
         }
-        // Free way.
-        for w in 0..ways {
-            if self.slots[base + w].is_none() {
-                self.slots[base + w] = Some(Way { key, value });
-                self.lru.touch(set, w);
-                return None;
-            }
-        }
-        // Evict: the set is full, so the LRU way is occupied.
-        let victim = self.lru.victim(set);
-        let old = self.slots[base + victim].replace(Way { key, value });
-        self.lru.touch(set, victim);
-        old.map(|way| Eviction {
+        let slots = self.set_mut(set);
+        slots.rotate_right(1);
+        slots[0].replace(Way { key, value }).map(|way| Eviction {
             key: way.key,
             value: way.value,
         })
     }
 
-    /// Removes `key` from `set`, returning its payload if present.
+    /// Removes `key` from `set`, returning its payload if present. The freed
+    /// slot moves behind the set's valid entries.
     pub fn invalidate(&mut self, set: usize, key: &K) -> Option<V> {
-        let base = set * self.ways;
-        for slot in &mut self.slots[base..base + self.ways] {
-            if slot.as_ref().is_some_and(|way| way.key == *key) {
-                return slot.take().map(|way| way.value);
-            }
-        }
-        None
+        let pos = self.find(set, key)?;
+        let slots = &mut self.set_mut(set)[pos..];
+        slots.rotate_left(1);
+        slots.last_mut()?.take().map(|way| way.value)
     }
 
     /// Clears every entry.
     pub fn flush(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
+        self.slots.fill_with(|| None);
     }
 
     /// Number of valid entries across all sets.
@@ -215,12 +199,20 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     }
 
     /// Removes all entries failing `keep`, returning how many were dropped.
+    /// Each set's survivors keep their recency order.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let mut dropped = 0;
-        for slot in &mut self.slots {
-            if let Some(way) = slot {
-                if !keep(&way.key, &way.value) {
-                    *slot = None;
+        for slots in self.slots.chunks_mut(self.ways) {
+            // Survivors swap forward into the slots freed ahead of them, so
+            // they keep their order and the empty slots trail.
+            let mut kept = 0;
+            for pos in 0..slots.len() {
+                let Some(way) = &slots[pos] else { break };
+                if keep(&way.key, &way.value) {
+                    slots.swap(kept, pos);
+                    kept += 1;
+                } else {
+                    slots[pos] = None;
                     dropped += 1;
                 }
             }

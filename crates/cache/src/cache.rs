@@ -1,22 +1,25 @@
 //! A single physical-line cache level.
 
-use crate::replacement::{RankLru, MAX_WAYS};
-use crate::{CacheConfig, CacheStats};
+use crate::CacheConfig;
 use asap_types::CacheLineAddr;
 
 /// One level of the cache hierarchy, indexed by physical cache-line address.
 ///
 /// The model tracks tags only — the simulator never needs line *data*, since
 /// page-table contents live in `asap-pt`'s simulated physical memory and the
-/// hierarchy only decides service latency.
+/// hierarchy only decides service latency. It keeps no counters either: the
+/// hierarchy counts hits, misses, fills and evictions per level.
 ///
 /// Storage is one `u64` tag word per way, set-major, holding `line + 1`,
-/// with zero meaning an empty way; replacement is exact LRU over per-set
-/// `u8` ranks. Both arrays come from zeroed allocations, so building even
-/// a 20 MiB last-level cache costs no initialisation pass. Tags are full
-/// 64-bit line numbers (Victima's TLB blocks live under bit-62 lines); the
-/// one line number the encoding cannot hold, `u64::MAX`, is no line
-/// address (those are byte addresses shifted right by six).
+/// with zero meaning an empty way. Each set is kept in recency order, most
+/// recent first, with its empty ways trailing: a hit rotates its tag to the
+/// front and an install shifts the set right by one, so the tag that falls
+/// off the end is the exact-LRU victim. The array comes from one zeroed
+/// allocation, so building even a 20 MiB last-level cache costs no
+/// initialisation pass. Tags are full 64-bit line numbers (Victima's TLB
+/// blocks live under bit-62 lines); the one line number the encoding cannot
+/// hold, `u64::MAX`, is no line address (those are byte addresses shifted
+/// right by six).
 ///
 /// # Examples
 ///
@@ -26,25 +29,16 @@ use asap_types::CacheLineAddr;
 ///
 /// let mut l1 = Cache::new(CacheConfig::from_capacity("L1-D", 4096, 4, 4));
 /// let line = CacheLineAddr::new(123);
-/// assert!(!l1.access(line));
-/// l1.fill(line);
-/// assert!(l1.access(line));
+/// assert_eq!(l1.position(line), None);
+/// assert_eq!(l1.insert(line), None, "an empty set evicts nothing");
+/// assert_eq!(l1.position(line), Some(0), "most recent first");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `tags[set * ways + w]`: `line + 1` of the line in way `w`, 0 if empty.
+    /// `tags[set * ways + r]`: `line + 1` of the set's `r`-th most recent
+    /// line, 0 for an empty way (empty ways trail).
     tags: Vec<u64>,
-    lru: RankLru,
-    stats: CacheStats,
-}
-
-/// Where a tag stands in its set.
-enum Probe {
-    /// The tag is in this way.
-    Hit(usize),
-    /// The tag is absent; `free` is the set's first empty way, if any.
-    Miss { free: Option<usize> },
 }
 
 /// The tag word of `line`: never zero, which marks an empty way.
@@ -59,7 +53,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `config.num_sets` is not a power of two (the set index is
-    /// the low line-number bits) or `config.ways` is not in `1..=256`.
+    /// the low line-number bits) or `config.ways` is zero.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         assert!(
@@ -68,135 +62,75 @@ impl Cache {
             config.name,
             config.num_sets
         );
-        assert!(
-            (1..=MAX_WAYS).contains(&config.ways),
-            "{}: ways must be in 1..={MAX_WAYS}, got {}",
-            config.name,
-            config.ways
-        );
+        assert!(config.ways > 0, "{}: need at least one way", config.name);
         Self {
             tags: vec![0; config.num_sets * config.ways],
-            lru: RankLru::new(config.num_sets, config.ways),
             config,
-            stats: CacheStats::default(),
         }
     }
 
-    fn set_of(&self, line: CacheLineAddr) -> usize {
-        (line.raw() as usize) & (self.config.num_sets - 1)
+    /// The tag words of `line`'s set, most recent first.
+    fn set(&self, line: CacheLineAddr) -> &[u64] {
+        let base = ((line.raw() as usize) & (self.config.num_sets - 1)) * self.config.ways;
+        &self.tags[base..base + self.config.ways]
     }
 
-    /// Scans `set` once for `tag`. The scan always covers the whole set,
-    /// so it compiles to selects rather than a loop exit at a way the host
-    /// cannot predict, and a miss learns the first empty way for free.
-    fn probe(&self, set: usize, tag: u64) -> Probe {
-        let base = set * self.config.ways;
-        let ways = &self.tags[base..base + self.config.ways];
-        let (mut hit, mut free) = (ways.len(), ways.len());
-        for (w, &t) in ways.iter().enumerate().rev() {
-            if t == tag {
-                hit = w;
-            }
-            if t == 0 {
-                free = w;
-            }
-        }
-        if hit < ways.len() {
-            Probe::Hit(hit)
-        } else {
-            Probe::Miss {
-                free: (free < ways.len()).then_some(free),
-            }
-        }
+    fn set_mut(&mut self, line: CacheLineAddr) -> &mut [u64] {
+        let base = ((line.raw() as usize) & (self.config.num_sets - 1)) * self.config.ways;
+        &mut self.tags[base..base + self.config.ways]
     }
 
-    /// Installs the absent `tag` into way `free`, or over the LRU way of a
-    /// full set, returning the evicted line.
-    fn install(&mut self, set: usize, tag: u64, free: Option<usize>) -> Option<CacheLineAddr> {
-        self.stats.fills += 1;
-        let (way, evicted) = match free {
-            Some(way) => (way, None),
-            None => {
-                let way = self.lru.victim(set);
-                self.stats.evictions += 1;
-                let old = self.tags[set * self.config.ways + way];
-                (way, Some(CacheLineAddr::new(old.wrapping_sub(1))))
-            }
-        };
-        self.tags[set * self.config.ways + way] = tag;
-        self.lru.touch(set, way);
-        evicted
-    }
-
-    /// Performs a demand lookup; returns whether it hit. Misses do **not**
-    /// allocate — the hierarchy decides where fills go.
-    pub fn access(&mut self, line: CacheLineAddr) -> bool {
-        let set = self.set_of(line);
-        let hit = match self.probe(set, tag_of(line)) {
-            Probe::Hit(way) => {
-                self.lru.touch(set, way);
-                true
-            }
-            Probe::Miss { .. } => false,
-        };
-        self.stats.record(hit);
-        hit
-    }
-
-    /// A demand lookup that installs `line` on a miss; returns whether it
-    /// hit. Exactly [`Cache::access`] followed, on a miss, by
-    /// [`Cache::fill`], with one scan of the set.
-    pub fn access_or_fill(&mut self, line: CacheLineAddr) -> bool {
-        let set = self.set_of(line);
+    /// Where `line` stands in its set's recency order (0 = most recent), or
+    /// `None` if it is not resident. Disturbs nothing.
+    #[must_use]
+    pub fn position(&self, line: CacheLineAddr) -> Option<usize> {
         let tag = tag_of(line);
-        let hit = match self.probe(set, tag) {
-            Probe::Hit(way) => {
-                self.lru.touch(set, way);
-                true
-            }
-            Probe::Miss { free } => {
-                self.install(set, tag, free);
-                false
-            }
-        };
-        self.stats.record(hit);
-        hit
+        self.set(line).iter().position(|&t| t == tag)
     }
 
-    /// Checks residency without disturbing replacement state or stats.
+    /// Checks residency without disturbing replacement state.
     #[must_use]
     pub fn contains(&self, line: CacheLineAddr) -> bool {
-        matches!(self.probe(self.set_of(line), tag_of(line)), Probe::Hit(_))
+        self.position(line).is_some()
     }
 
-    /// Installs a line, returning the evicted line if any. Filling a
-    /// resident line only refreshes its recency.
-    pub fn fill(&mut self, line: CacheLineAddr) -> Option<CacheLineAddr> {
-        let set = self.set_of(line);
+    /// Makes the resident `line`, found at `pos` by [`Cache::position`],
+    /// the most recent line of its set.
+    pub fn promote(&mut self, line: CacheLineAddr, pos: usize) {
+        let set = self.set_mut(line);
+        debug_assert_eq!(set[pos], tag_of(line), "stale position");
+        let tag = set[pos];
+        set.copy_within(..pos, 1);
+        set[0] = tag;
+    }
+
+    /// Installs the absent `line` as its set's most recent line, returning
+    /// the least recent line if the set was full.
+    pub fn insert(&mut self, line: CacheLineAddr) -> Option<CacheLineAddr> {
         let tag = tag_of(line);
-        match self.probe(set, tag) {
-            Probe::Hit(way) => {
-                self.stats.fills += 1;
-                self.lru.touch(set, way);
-                None
-            }
-            Probe::Miss { free } => self.install(set, tag, free),
-        }
+        let set = self.set_mut(line);
+        debug_assert!(!set.contains(&tag), "line already resident");
+        let old = set[set.len() - 1];
+        set.copy_within(..set.len() - 1, 1);
+        set[0] = tag;
+        (old != 0).then(|| CacheLineAddr::new(old.wrapping_sub(1)))
     }
 
-    /// Removes a line if present.
+    /// Removes a line if present; the freed way moves behind the set's
+    /// valid lines.
     pub fn invalidate(&mut self, line: CacheLineAddr) -> bool {
-        let set = self.set_of(line);
-        match self.probe(set, tag_of(line)) {
-            Probe::Hit(way) => {
-                self.tags[set * self.config.ways + way] = 0;
-                true
-            }
-            Probe::Miss { .. } => false,
+        let Some(pos) = self.position(line) else {
+            return false;
+        };
+        let set = self.set_mut(line);
+        set[pos..].rotate_left(1);
+        if let Some(last) = set.last_mut() {
+            *last = 0;
         }
+        true
     }
 
-    /// Empties the cache (stats are preserved).
+    /// Empties the cache.
     pub fn flush(&mut self) {
         self.tags.fill(0);
     }
@@ -211,12 +145,6 @@ impl Cache {
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     /// Number of resident lines.
@@ -250,90 +178,95 @@ mod tests {
         Cache::new(config(2, 2))
     }
 
-    #[test]
-    fn miss_does_not_allocate() {
-        let mut c = tiny();
-        assert!(!c.access(CacheLineAddr::new(0)));
-        assert!(!c.access(CacheLineAddr::new(0)), "still absent after miss");
-        assert_eq!(c.stats().misses, 2);
+    fn line(n: u64) -> CacheLineAddr {
+        CacheLineAddr::new(n)
     }
 
     #[test]
-    fn fill_then_hit() {
+    fn insert_then_find_at_the_front() {
         let mut c = tiny();
-        let line = CacheLineAddr::new(5);
-        c.fill(line);
-        assert!(c.access(line));
-        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.position(line(5)), None);
+        assert_eq!(c.insert(line(5)), None);
+        assert_eq!(c.position(line(5)), Some(0));
+        assert_eq!(c.insert(line(7)), None);
+        assert_eq!(c.position(line(5)), Some(1), "pushed back by a newer line");
     }
 
     #[test]
     fn conflict_eviction_within_set() {
         let mut c = tiny();
         // Lines 0, 2, 4 all map to set 0 (2 sets).
-        assert_eq!(c.fill(CacheLineAddr::new(0)), None);
-        assert_eq!(c.fill(CacheLineAddr::new(2)), None);
-        let evicted = c.fill(CacheLineAddr::new(4)).expect("set full");
-        assert_eq!(evicted, CacheLineAddr::new(0));
-        assert!(c.contains(CacheLineAddr::new(2)));
-        assert!(c.contains(CacheLineAddr::new(4)));
+        assert_eq!(c.insert(line(0)), None);
+        assert_eq!(c.insert(line(2)), None);
+        assert_eq!(c.insert(line(4)), Some(line(0)));
+        assert!(c.contains(line(2)));
+        assert!(c.contains(line(4)));
+    }
+
+    #[test]
+    fn promote_protects_a_line_from_eviction() {
+        let mut c = tiny();
+        c.insert(line(0));
+        c.insert(line(2));
+        c.promote(line(0), 1);
+        assert_eq!(c.position(line(0)), Some(0));
+        assert_eq!(c.insert(line(4)), Some(line(2)));
     }
 
     #[test]
     fn different_sets_do_not_conflict() {
         let mut c = tiny();
-        c.fill(CacheLineAddr::new(0)); // set 0
-        c.fill(CacheLineAddr::new(1)); // set 1
-        c.fill(CacheLineAddr::new(2)); // set 0
-        c.fill(CacheLineAddr::new(3)); // set 1
+        for n in 0..4 {
+            assert_eq!(c.insert(line(n)), None);
+        }
         assert_eq!(c.len(), 4);
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn invalidate_frees_a_way_and_flush_empties() {
         let mut c = tiny();
-        let line = CacheLineAddr::new(9);
-        c.fill(line);
-        assert!(c.invalidate(line));
-        assert!(!c.invalidate(line));
-        c.fill(line);
+        c.insert(line(0));
+        c.insert(line(2));
+        assert!(c.invalidate(line(2)));
+        assert!(!c.invalidate(line(2)));
+        assert_eq!(c.position(line(0)), Some(0), "survivor moves up");
+        assert_eq!(c.insert(line(4)), None, "the freed way is reused");
         c.flush();
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn access_or_fill_installs_on_a_miss() {
-        let mut c = tiny();
-        let line = CacheLineAddr::new(6);
-        assert!(!c.access_or_fill(line));
-        assert!(c.access_or_fill(line));
-        assert_eq!(
-            (c.stats().hits, c.stats().misses, c.stats().fills),
-            (1, 1, 1)
-        );
     }
 
     #[test]
     fn block_lines_keep_their_high_bits() {
         // A Victima block line differs from a data line only in bit 62.
         let mut c = tiny();
-        let data = CacheLineAddr::new(4);
-        let block = CacheLineAddr::new(1 << 62 | 4);
-        c.fill(block);
+        let data = line(4);
+        let block = line(1 << 62 | 4);
+        c.insert(block);
         assert!(!c.contains(data));
-        c.fill(data);
-        assert_eq!(c.fill(CacheLineAddr::new(0)), Some(block));
+        c.insert(data);
+        assert_eq!(c.insert(line(0)), Some(block));
+    }
+
+    #[test]
+    fn a_512_way_set_evicts_in_lru_order() {
+        let ways = 512;
+        let mut c = Cache::new(config(1, ways));
+        for n in 0..ways as u64 {
+            assert_eq!(c.insert(line(n)), None);
+        }
+        // Promote the oldest line; the next oldest becomes the victim.
+        let pos = c.position(line(0)).unwrap();
+        assert_eq!(pos, ways - 1);
+        c.promote(line(0), pos);
+        for n in 1..ways as u64 {
+            assert_eq!(c.insert(line(1000 + n)), Some(line(n)));
+        }
+        assert_eq!(c.insert(line(5000)), Some(line(0)));
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn new_rejects_non_power_of_two_sets() {
         let _ = Cache::new(config(24, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "ways must be in 1..=256")]
-    fn new_rejects_more_ways_than_ranks_hold() {
-        let _ = Cache::new(config(1, 257));
     }
 }

@@ -64,13 +64,23 @@ pub struct AccessResult {
 /// likewise allocate up the hierarchy).
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    l1: Cache,
-    l2: Cache,
-    l3: Cache,
+    /// L1, L2, L3.
+    levels: [Cache; 3],
     memory_latency: u64,
     mshrs: MshrFile,
     stats: HierarchyStats,
     now: u64,
+}
+
+/// Makes `line` the most recent line of `cache`, given its probed position:
+/// promotes a resident line, or installs an absent one.
+fn fill_at(cache: &mut Cache, line: CacheLineAddr, pos: Option<usize>) {
+    match pos {
+        Some(pos) => cache.promote(line, pos),
+        None => {
+            cache.insert(line);
+        }
+    }
 }
 
 impl CacheHierarchy {
@@ -78,9 +88,11 @@ impl CacheHierarchy {
     #[must_use]
     pub fn new(config: HierarchyConfig) -> Self {
         Self {
-            l1: Cache::new(config.l1),
-            l2: Cache::new(config.l2),
-            l3: Cache::new(config.l3),
+            levels: [
+                Cache::new(config.l1),
+                Cache::new(config.l2),
+                Cache::new(config.l3),
+            ],
             memory_latency: config.memory_latency,
             mshrs: MshrFile::new(config.mshr_entries),
             stats: HierarchyStats::default(),
@@ -116,7 +128,7 @@ impl CacheHierarchy {
         // An in-flight prefetch to the same line absorbs the demand miss.
         if let Some((completion, source)) = self.mshrs.in_flight(line, now) {
             self.stats.mshr_merges += 1;
-            let latency = completion.saturating_sub(now).max(self.l1.latency());
+            let latency = completion.saturating_sub(now).max(self.l1_latency());
             return AccessResult {
                 latency,
                 served_by: source,
@@ -144,15 +156,23 @@ impl CacheHierarchy {
         if let Some((completion, _)) = self.mshrs.in_flight(line, now) {
             return Some(completion);
         }
-        if self.l1.contains(line) {
+        if self.levels[0].contains(line) {
             return Some(now);
         }
-        // Determine where the line would come from, then move it into L1
-        // (and the outer levels) with an MSHR covering the flight time.
-        let (latency, served_by) = self.probe_source(line);
+        // Each outer level is scanned once: the positions found decide
+        // where the line comes from and, once an MSHR covers the flight
+        // time, where each level promotes or installs it.
+        let pos = [
+            None,
+            self.levels[1].position(line),
+            self.levels[2].position(line),
+        ];
+        let (latency, served_by) = self.source(pos.map(|p| p.is_some()));
         match self.mshrs.allocate(line, now, now + latency, served_by) {
             MshrOutcome::Issued { completion } | MshrOutcome::Merged { completion } => {
-                self.fill_all(line);
+                for (cache, pos) in self.levels.iter_mut().zip(pos) {
+                    fill_at(cache, line, pos);
+                }
                 self.stats.prefetch_fills += 1;
                 Some(completion)
             }
@@ -163,16 +183,18 @@ impl CacheHierarchy {
         }
     }
 
-    fn probe_source(&self, line: CacheLineAddr) -> (u64, ServedBy) {
-        if self.l1.contains(line) {
-            (self.l1.latency(), ServedBy::L1)
-        } else if self.l2.contains(line) {
-            (self.l2.latency(), ServedBy::L2)
-        } else if self.l3.contains(line) {
-            (self.l3.latency(), ServedBy::L3)
-        } else {
-            (self.memory_latency, ServedBy::Memory)
-        }
+    /// The latency and level of the nearest level `resident` marks, or
+    /// DRAM's.
+    fn source(&self, resident: [bool; 3]) -> (u64, ServedBy) {
+        resident
+            .iter()
+            .zip(&self.levels)
+            .zip(ServedBy::ALL)
+            .find(|((&hit, _), _)| hit)
+            .map_or(
+                (self.memory_latency, ServedBy::Memory),
+                |((_, cache), by)| (cache.latency(), by),
+            )
     }
 
     /// Looks `line` up level by level, filling every level that misses —
@@ -180,71 +202,55 @@ impl CacheHierarchy {
     /// filling a level as soon as it misses leaves the same contents as
     /// filling them all once the serving level is known.
     fn lookup_and_fill(&mut self, line: CacheLineAddr) -> (u64, ServedBy) {
-        if self.l1.access_or_fill(line) {
-            self.record(0, true);
-            return (self.l1.latency(), ServedBy::L1);
+        for ((cache, stats), served_by) in self
+            .levels
+            .iter_mut()
+            .zip(&mut self.stats.levels)
+            .zip(ServedBy::ALL)
+        {
+            let pos = cache.position(line);
+            stats.record(pos.is_some());
+            fill_at(cache, line, pos);
+            if pos.is_some() {
+                return (cache.latency(), served_by);
+            }
         }
-        self.record(0, false);
-        if self.l2.access_or_fill(line) {
-            self.record(1, true);
-            return (self.l2.latency(), ServedBy::L2);
-        }
-        self.record(1, false);
-        if self.l3.access_or_fill(line) {
-            self.record(2, true);
-            return (self.l3.latency(), ServedBy::L3);
-        }
-        self.record(2, false);
         self.stats.memory_accesses += 1;
         (self.memory_latency, ServedBy::Memory)
-    }
-
-    fn fill_all(&mut self, line: CacheLineAddr) {
-        self.l1.fill(line);
-        self.l2.fill(line);
-        self.l3.fill(line);
-    }
-
-    fn record(&mut self, level: usize, hit: bool) {
-        let s = &mut self.stats.levels[level];
-        if hit {
-            s.hits += 1;
-        } else {
-            s.misses += 1;
-        }
     }
 
     /// Residency probe that disturbs nothing (no fills, no stats).
     #[must_use]
     pub fn source_of(&self, line: CacheLineAddr) -> ServedBy {
-        self.probe_source(line).1
+        self.source(self.levels.each_ref().map(|c| c.contains(line)))
+            .1
     }
 
     /// Invalidates a line everywhere.
     pub fn invalidate(&mut self, line: CacheLineAddr) {
-        self.l1.invalidate(line);
-        self.l2.invalidate(line);
-        self.l3.invalidate(line);
+        for cache in &mut self.levels {
+            cache.invalidate(line);
+        }
     }
 
     /// Empties all levels and the MSHR file (stats preserved).
     pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        self.l3.flush();
+        for cache in &mut self.levels {
+            cache.flush();
+        }
         self.mshrs.clear();
     }
 
     /// L1 hit latency (the floor for any demand access).
     #[must_use]
     pub fn l1_latency(&self) -> u64 {
-        self.l1.latency()
+        self.levels[0].latency()
     }
 
     /// L2 hit latency — what a cache-resident TLB-block lookup costs.
     #[must_use]
     pub fn l2_latency(&self) -> u64 {
-        self.l2.latency()
+        self.levels[1].latency()
     }
 
     /// Installs `line` into the L2 **only** — the insertion path of a
@@ -253,7 +259,8 @@ impl CacheHierarchy {
     /// for L2 ways with ordinary data, so cache pressure naturally evicts
     /// stale translations.
     pub fn l2_install(&mut self, line: CacheLineAddr) {
-        self.l2.fill(line);
+        let pos = self.levels[1].position(line);
+        fill_at(&mut self.levels[1], line, pos);
     }
 
     /// Probes the L2 for `line`, updating recency on a hit (a real lookup,
@@ -261,13 +268,18 @@ impl CacheHierarchy {
     /// not touch the hierarchy-level hit/miss statistics — block probes are
     /// accounted by the backend that issues them.
     pub fn l2_lookup(&mut self, line: CacheLineAddr) -> bool {
-        self.l2.access(line)
+        let l2 = &mut self.levels[1];
+        let pos = l2.position(line);
+        if let Some(pos) = pos {
+            l2.promote(line, pos);
+        }
+        pos.is_some()
     }
 
     /// Whether the L2 currently holds `line` (no side effects).
     #[must_use]
     pub fn l2_contains(&self, line: CacheLineAddr) -> bool {
-        self.l2.contains(line)
+        self.levels[1].contains(line)
     }
 
     /// DRAM latency.
@@ -379,6 +391,8 @@ mod tests {
         assert!(h.prefetch_at(CacheLineAddr::new(2), 0).is_some());
         assert!(h.prefetch_at(CacheLineAddr::new(3), 0).is_none());
         assert_eq!(h.stats().prefetches_dropped, 1);
+        // A dropped prefetch installs nothing.
+        assert_eq!(h.source_of(CacheLineAddr::new(3)), ServedBy::Memory);
         // After the first two complete, capacity frees up.
         assert!(h.prefetch_at(CacheLineAddr::new(3), 200).is_some());
     }
@@ -413,6 +427,17 @@ mod tests {
         assert_eq!(h.source_of(line), ServedBy::L1);
         h.invalidate(line);
         assert_eq!(h.source_of(line), ServedBy::Memory);
+    }
+
+    #[test]
+    fn prefetch_from_l2_refreshes_the_outer_levels() {
+        let mut h = tiny();
+        let line = CacheLineAddr::new(2);
+        h.access(line);
+        h.levels[0].invalidate(line);
+        assert_eq!(h.source_of(line), ServedBy::L2);
+        assert_eq!(h.prefetch_at(line, 0), Some(12));
+        assert_eq!(h.levels.each_ref().map(|c| c.position(line)), [Some(0); 3]);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!
 //! * a generic set-associative container ([`SetAssoc`]) with exact LRU
 //!   replacement, reused by the TLBs and page-walk caches in `asap-tlb`;
-//! * a physical-line cache model ([`Cache`]): a compact array of line tags,
-//!   replaced in the same exact-LRU order;
+//! * a physical-line cache model ([`Cache`]): a compact array of line tags;
 //! * a miss-status-holding-register file ([`MshrFile`]) that merges demand
 //!   accesses with in-flight ASAP prefetches — the paper's §3.4 mechanism
 //!   ("ASAP leverages existing machinery for buffering the outstanding
@@ -19,6 +18,11 @@
 //! * the shared, explicitly-timed multi-core view of that hierarchy
 //!   ([`MemoryFabric`] / [`SharedFabric`]) that N per-core translation
 //!   engines reference when simulating an SMP machine.
+//!
+//! `SetAssoc` and `Cache` keep each set in recency order, most recent
+//! first, so exact LRU needs no state beyond the entries themselves: a hit
+//! rotates its entry to the front, and an insertion shifts the set right by
+//! one and evicts whatever falls off the end.
 //!
 //! # Examples
 //!
@@ -44,7 +48,6 @@ mod config;
 mod fabric;
 mod hierarchy;
 mod mshr;
-mod replacement;
 mod stats;
 
 pub use assoc::{Eviction, SetAssoc};
