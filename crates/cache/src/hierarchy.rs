@@ -1,6 +1,6 @@
 //! The three-level cache hierarchy plus DRAM.
 
-use crate::{Cache, HierarchyConfig, HierarchyStats, MshrFile, MshrOutcome};
+use crate::{Cache, CacheStats, HierarchyConfig, HierarchyStats, MshrFile, MshrOutcome};
 use asap_types::CacheLineAddr;
 
 /// The hierarchy level that ultimately served an access — the per-request
@@ -62,6 +62,10 @@ pub struct AccessResult {
 /// costs the memory latency. Fills install the line in every level (the
 /// paper routes ASAP prefetches "into the L1-D", and walker/demand misses
 /// likewise allocate up the hierarchy).
+///
+/// The hierarchy owns the only per-level counters: hits and misses of
+/// demand lookups, lines installed and the valid lines those installs
+/// displaced.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     /// L1, L2, L3.
@@ -73,12 +77,16 @@ pub struct CacheHierarchy {
 }
 
 /// Makes `line` the most recent line of `cache`, given its probed position:
-/// promotes a resident line, or installs an absent one.
-fn fill_at(cache: &mut Cache, line: CacheLineAddr, pos: Option<usize>) {
+/// promotes a resident line, or installs an absent one and counts the fill
+/// and any valid line it displaces.
+fn fill_at(cache: &mut Cache, stats: &mut CacheStats, line: CacheLineAddr, pos: Option<usize>) {
     match pos {
         Some(pos) => cache.promote(line, pos),
         None => {
-            cache.insert(line);
+            stats.fills += 1;
+            if cache.insert(line).is_some() {
+                stats.evictions += 1;
+            }
         }
     }
 }
@@ -170,8 +178,10 @@ impl CacheHierarchy {
         let (latency, served_by) = self.source(pos.map(|p| p.is_some()));
         match self.mshrs.allocate(line, now, now + latency, served_by) {
             MshrOutcome::Issued { completion } | MshrOutcome::Merged { completion } => {
-                for (cache, pos) in self.levels.iter_mut().zip(pos) {
-                    fill_at(cache, line, pos);
+                for ((cache, stats), pos) in
+                    self.levels.iter_mut().zip(&mut self.stats.levels).zip(pos)
+                {
+                    fill_at(cache, stats, line, pos);
                 }
                 self.stats.prefetch_fills += 1;
                 Some(completion)
@@ -210,7 +220,7 @@ impl CacheHierarchy {
         {
             let pos = cache.position(line);
             stats.record(pos.is_some());
-            fill_at(cache, line, pos);
+            fill_at(cache, stats, line, pos);
             if pos.is_some() {
                 return (cache.latency(), served_by);
             }
@@ -257,10 +267,10 @@ impl CacheHierarchy {
     /// Victima-style backend, which parks evicted TLB entries as TLB blocks
     /// in the L2 without polluting the L1 or LLC. The block then competes
     /// for L2 ways with ordinary data, so cache pressure naturally evicts
-    /// stale translations.
+    /// stale translations. The install counts as an L2 fill.
     pub fn l2_install(&mut self, line: CacheLineAddr) {
         let pos = self.levels[1].position(line);
-        fill_at(&mut self.levels[1], line, pos);
+        fill_at(&mut self.levels[1], &mut self.stats.levels[1], line, pos);
     }
 
     /// Probes the L2 for `line`, updating recency on a hit (a real lookup,
@@ -438,6 +448,44 @@ mod tests {
         assert_eq!(h.source_of(line), ServedBy::L2);
         assert_eq!(h.prefetch_at(line, 0), Some(12));
         assert_eq!(h.levels.each_ref().map(|c| c.position(line)), [Some(0); 3]);
+        let l1 = &h.stats().levels[0];
+        assert_eq!((l1.fills, h.stats().levels[1].fills), (2, 1));
+    }
+
+    #[test]
+    fn fills_minus_evictions_is_residency() {
+        // Demand accesses, prefetches, L2 block installs and block probes
+        // over four times the lines the tiny LLC holds.
+        let mut h = tiny();
+        let mut x = 1u64;
+        for i in 0..20_000u64 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let line = CacheLineAddr::new((x >> 33) % 4096);
+            let now = h.now();
+            match i % 5 {
+                0 => {
+                    let _ = h.prefetch_at(line, now);
+                }
+                1 => h.l2_install(line),
+                2 => {
+                    let _ = h.l2_lookup(line);
+                }
+                _ => {
+                    let _ = h.access(line);
+                }
+            }
+        }
+        for (cache, stats) in h.levels.iter().zip(&h.stats().levels) {
+            assert!(stats.evictions > 0, "{}: no eviction", cache.config().name);
+            assert_eq!(
+                stats.fills - stats.evictions,
+                cache.len() as u64,
+                "{}",
+                cache.config().name
+            );
+        }
     }
 
     #[test]

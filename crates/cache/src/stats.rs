@@ -2,16 +2,19 @@
 
 use asap_telemetry::{Collect, MetricSet};
 
-/// Hit/miss/fill counters for a single cache level.
+/// Hit/miss/fill counters for a single cache level, kept by the
+/// hierarchy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand lookups that hit.
     pub hits: u64,
     /// Demand lookups that missed.
     pub misses: u64,
-    /// Lines installed.
+    /// Lines installed: demand and prefetch fills and Victima's L2 block
+    /// installs. Refilling a resident line only refreshes its recency and
+    /// is not counted.
     pub fills: u64,
-    /// Lines evicted by fills.
+    /// Valid lines those installs displaced.
     pub evictions: u64,
 }
 
