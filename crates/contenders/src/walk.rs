@@ -25,11 +25,11 @@ pub(crate) struct VerifiedWalk {
 /// timed hierarchy accesses, PWC fills, walk/fault accounting and the
 /// served-by matrix. Does **not** fill the TLB — the caller owns that step
 /// (Victima needs the eviction hook, Revelator a plain fill).
-pub(crate) fn verified_walk(
+pub(crate) fn verified_walk<S: WalkSource + ?Sized>(
     core: &mut EngineCore,
     pwc: &mut PageWalkCaches,
     served: &mut ServedByMatrix,
-    src: &dyn WalkSource,
+    src: &S,
     asid: Asid,
     va: VirtAddr,
 ) -> VerifiedWalk {

@@ -176,9 +176,9 @@ impl Mmu {
     /// [`asap_pt::FlatMirror`], or any other [`WalkSource`]. `cluster`
     /// supplies PTE-cluster contents for the clustered-TLB fill; pass `None`
     /// when the clustered TLB is disabled.
-    pub fn translate(
+    pub fn translate<S: WalkSource + ?Sized>(
         &mut self,
-        src: &dyn WalkSource,
+        src: &S,
         asid: Asid,
         va: VirtAddr,
         cluster: Option<&dyn ClusterSource>,
@@ -227,9 +227,9 @@ impl Mmu {
     }
 
     /// The TLB-miss path: prefetch issue + walk timeline (Fig. 4b).
-    fn walk(
+    fn walk<S: WalkSource + ?Sized>(
         &mut self,
-        src: &dyn WalkSource,
+        src: &S,
         asid: Asid,
         va: VirtAddr,
         cluster: Option<&dyn ClusterSource>,

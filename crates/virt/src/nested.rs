@@ -119,7 +119,7 @@ impl NestedWalker {
     /// table, or in tests the radix oracle); `ept` supplies and lazily
     /// extends the host dimension.
     #[must_use]
-    pub fn walk(guest: &dyn WalkSource, ept: &mut Ept, va: VirtAddr) -> NestedWalkTrace {
+    pub fn walk<S: WalkSource + ?Sized>(guest: &S, ept: &mut Ept, va: VirtAddr) -> NestedWalkTrace {
         let mut steps = Vec::with_capacity(24);
         let outcome = Self::walk_into(guest, ept, va, &mut steps);
         NestedWalkTrace { va, steps, outcome }
@@ -127,8 +127,8 @@ impl NestedWalker {
 
     /// [`NestedWalker::walk`] into a caller-owned step buffer, cleared
     /// first: the allocation-free form the nested MMU reuses across walks.
-    pub fn walk_into(
-        guest: &dyn WalkSource,
+    pub fn walk_into<S: WalkSource + ?Sized>(
+        guest: &S,
         ept: &mut Ept,
         va: VirtAddr,
         steps: &mut Vec<NestedStep>,
