@@ -58,6 +58,24 @@ fn cache_hierarchy(c: &mut Criterion) {
     g.bench_function("corunner_access", |b| {
         b.iter(|| black_box(fabric.access_at(co.next_line(), 0)))
     });
+
+    // One ASAP prefetch into the same warmed hierarchy: the MSHR check and
+    // one probe of each level, then the fills. The lines are uniform over
+    // 256 MiB, so most come from the LLC or DRAM, and the clock advances
+    // 40 cycles per prefetch, so the 10 MSHRs are sometimes all busy and
+    // the prefetch drops, as on a walk that issues several at once.
+    let mut hier = CacheHierarchy::new(HierarchyConfig::broadwell_like());
+    for _ in 0..1 << 20 {
+        hier.access(co.next_line());
+    }
+    let (mut k, mut now) = (0u64, 0u64);
+    g.bench_function("prefetch_at", |b| {
+        b.iter(|| {
+            k = k.wrapping_add(0x9e37_79b9);
+            now += 40;
+            black_box(hier.prefetch_at(CacheLineAddr::new(k % (1 << 22)), now))
+        })
+    });
     g.finish();
 }
 

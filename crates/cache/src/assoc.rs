@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn sets_are_independent_in_flat_layout() {
         // Fill two adjacent sets and verify each set's LRU decisions ignore
-        // the other's state (guards the set-major slot/rank indexing).
+        // the other's state (guards the set-major slot indexing).
         let mut c = small();
         c.insert(0, 1, 1);
         c.insert(1, 2, 2);

@@ -183,13 +183,44 @@ mod tests {
     }
 
     #[test]
-    fn insert_then_find_at_the_front() {
+    fn miss_does_not_allocate() {
         let mut c = tiny();
-        assert_eq!(c.position(line(5)), None);
+        assert_eq!(c.position(line(0)), None);
+        assert_eq!(c.position(line(0)), None, "still absent after a miss");
+        assert!(c.is_empty());
+        assert!(!c.invalidate(line(0)));
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn fill_then_hit() {
+        let mut c = tiny();
         assert_eq!(c.insert(line(5)), None);
         assert_eq!(c.position(line(5)), Some(0));
         assert_eq!(c.insert(line(7)), None);
         assert_eq!(c.position(line(5)), Some(1), "pushed back by a newer line");
+    }
+
+    #[test]
+    fn access_or_fill_installs_on_a_miss() {
+        // The hierarchy's demand step: promote a hit, install a miss.
+        let mut c = tiny();
+        let access_or_fill = |c: &mut Cache, l: CacheLineAddr| match c.position(l) {
+            Some(pos) => {
+                c.promote(l, pos);
+                true
+            }
+            None => {
+                c.insert(l);
+                false
+            }
+        };
+        assert!(!access_or_fill(&mut c, line(6)));
+        assert!(!access_or_fill(&mut c, line(8)));
+        assert!(access_or_fill(&mut c, line(6)));
+        assert_eq!(c.position(line(6)), Some(0));
+        assert_eq!(c.position(line(8)), Some(1));
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -223,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_frees_a_way_and_flush_empties() {
+    fn invalidate_and_flush() {
         let mut c = tiny();
         c.insert(line(0));
         c.insert(line(2));
