@@ -105,14 +105,10 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
 
     /// The recency position of `key` in `set`, scanning the valid prefix.
     fn find(&self, set: usize, key: &K) -> Option<usize> {
-        for (pos, slot) in self.set(set).iter().enumerate() {
-            match slot {
-                Some(way) if way.key == *key => return Some(pos),
-                Some(_) => {}
-                None => return None,
-            }
-        }
-        None
+        self.set(set)
+            .iter()
+            .map_while(Option::as_ref)
+            .position(|way| way.key == *key)
     }
 
     /// Moves the entry at `pos` of `set` to the front and returns it.
