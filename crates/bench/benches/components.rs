@@ -11,14 +11,19 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn cache_hierarchy(c: &mut Criterion) {
     let mut g = c.benchmark_group("components/cache");
+    // Each case below runs its own access pattern 2^20 times before it is
+    // timed: a cold hierarchy makes the calibration probe and the first
+    // samples pay for the first touches of the cache arrays.
+    let warm = |step: &mut dyn FnMut()| (0..1 << 20).for_each(|_| step());
+
     let mut hier = CacheHierarchy::new(HierarchyConfig::broadwell_like());
     let mut i = 0u64;
-    g.bench_function("hierarchy_access", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(0x9e37_79b9);
-            hier.access(CacheLineAddr::new(i % (1 << 20)))
-        })
-    });
+    let mut access = || {
+        i = i.wrapping_add(0x9e37_79b9);
+        black_box(hier.access(CacheLineAddr::new(i % (1 << 20))));
+    };
+    warm(&mut access);
+    g.bench_function("hierarchy_access", |b| b.iter(&mut access));
 
     // The SMP driver's inner step: min-clock core arbitration plus one
     // explicitly-timed access through the shared fabric handle — the hot
@@ -26,23 +31,23 @@ fn cache_hierarchy(c: &mut Criterion) {
     let fabric = asap_cache::SharedFabric::new(HierarchyConfig::broadwell_like());
     let mut clocks = [0u64; 4];
     let mut j = 0u64;
-    g.bench_function("fabric_arbitration", |b| {
-        b.iter(|| {
-            let port = clocks
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, t)| (**t, *i))
-                .map(|(i, _)| i)
-                .expect("four ports");
-            j = j.wrapping_add(0x9e37_79b9);
-            let r = fabric.access_at(
-                CacheLineAddr::new((j % (1 << 20)) | (port as u64) << 40),
-                clocks[port],
-            );
-            clocks[port] += r.latency + 3;
-            black_box(r)
-        })
-    });
+    let mut arbitrate = || {
+        let port = clocks
+            .iter()
+            .enumerate()
+            .min_by_key(|(i, t)| (**t, *i))
+            .map(|(i, _)| i)
+            .expect("four ports");
+        j = j.wrapping_add(0x9e37_79b9);
+        let r = fabric.access_at(
+            CacheLineAddr::new((j % (1 << 20)) | (port as u64) << 40),
+            clocks[port],
+        );
+        clocks[port] += r.latency + 3;
+        black_box(r);
+    };
+    warm(&mut arbitrate);
+    g.bench_function("fabric_arbitration", |b| b.iter(&mut arbitrate));
 
     // One line of the §4 SMT co-runner: uniform over a 32 GiB footprint,
     // so nearly every access misses all three levels and fills them —
@@ -50,11 +55,10 @@ fn cache_hierarchy(c: &mut Criterion) {
     // `hierarchy_access` stays within 2^20 lines and never shows it.
     let fabric = asap_cache::SharedFabric::new(HierarchyConfig::broadwell_like());
     let mut co = CoRunner::memory_intensive(0xC0);
-    // Fill the caches (and fault in their arrays) first: a co-located
-    // run spends its whole measure window in that steady state.
-    for _ in 0..1 << 20 {
+    // A co-located run spends its whole measure window warm.
+    warm(&mut || {
         fabric.access_at(co.next_line(), 0);
-    }
+    });
     g.bench_function("corunner_access", |b| {
         b.iter(|| black_box(fabric.access_at(co.next_line(), 0)))
     });
@@ -65,9 +69,9 @@ fn cache_hierarchy(c: &mut Criterion) {
     // 40 cycles per prefetch, so the 10 MSHRs are sometimes all busy and
     // the prefetch drops, as on a walk that issues several at once.
     let mut hier = CacheHierarchy::new(HierarchyConfig::broadwell_like());
-    for _ in 0..1 << 20 {
+    warm(&mut || {
         hier.access(co.next_line());
-    }
+    });
     let (mut k, mut now) = (0u64, 0u64);
     g.bench_function("prefetch_at", |b| {
         b.iter(|| {
@@ -308,49 +312,50 @@ fn driver_loop(c: &mut Criterion) {
 
 /// OS run-ahead: `run_cores` on a 64-core and a one-core mc80 ASAP machine
 /// (perfbench `smp_64c`'s 500 + 2,000-access windows per core), once as
-/// is and once with every engine wrapped in `Coupled`, which keeps the
-/// coupled order (each access demand-paged right before its translation).
+/// is and once over the `Coupled` backend, which keeps the coupled order
+/// (each access demand-paged right before its translation).
 /// The shim times one case at a time, so this group times whole runs
 /// itself, on a fresh machine each, and alternates the two cases in ABBA
 /// order so host drift hits both alike.
 fn os_run_ahead(c: &mut Criterion) {
     use asap_cache::SharedFabric;
-    use asap_core::{AsapHwConfig, EngineOutcome, EngineStats, Mmu, MmuConfig, TranslationEngine};
+    use asap_core::{
+        AsapHwConfig, Backend, CoreConfig, Engine, EngineCore, EngineOutcome, Mmu, MmuConfig,
+        Native, TranslationEngine,
+    };
     use asap_os::{AsapOsConfig, Process};
     use asap_sim::{run_cores, CoreSlot, RunMeta, SimConfig};
-    use asap_types::PhysAddr;
     use asap_workloads::WorkloadSpec;
     use std::time::{Duration, Instant};
 
-    /// Forwards every call but keeps the default (`false`)
-    /// `translation_is_path_local`.
-    struct Coupled(Mmu);
+    /// The native backend with path locality declared off, so the driver
+    /// keeps the coupled order.
+    struct Coupled(Native);
 
-    impl TranslationEngine for Coupled {
+    impl Backend for Coupled {
         type Machine = Process;
+        type Config = MmuConfig;
+        fn build(config: MmuConfig) -> (CoreConfig, Self) {
+            let (parts, native) = Native::build(config);
+            (parts, Coupled(native))
+        }
         fn load_context(&mut self, machine: &Process) {
-            TranslationEngine::load_context(&mut self.0, machine);
+            self.0.load_context(machine);
         }
-        fn translate_access(&mut self, machine: &mut Process, va: VirtAddr) -> EngineOutcome {
-            self.0.translate_access(machine, va)
+        fn translate_miss(
+            &mut self,
+            core: &mut EngineCore,
+            machine: &mut Process,
+            asid: Asid,
+            va: VirtAddr,
+        ) -> EngineOutcome {
+            self.0.translate_miss(core, machine, asid, va)
         }
-        fn data_access(&mut self, pa: PhysAddr) -> asap_cache::AccessResult {
-            self.0.data_access(pa)
-        }
-        fn corunner_access(&mut self, line: CacheLineAddr) {
-            self.0.corunner_access(line);
-        }
-        fn now(&self) -> u64 {
-            self.0.now()
-        }
-        fn advance(&mut self, cycles: u64) {
-            self.0.advance(cycles);
+        fn translation_is_path_local(&self) -> bool {
+            false
         }
         fn reset_stats(&mut self) {
             self.0.reset_stats();
-        }
-        fn stats_snapshot(&self) -> EngineStats {
-            self.0.stats_snapshot()
         }
     }
 
@@ -411,18 +416,17 @@ fn os_run_ahead(c: &mut Criterion) {
             .map(|(i, p)| w.build_stream(p, seed ^ 0x11 ^ ((i as u64) << 8)))
             .collect();
         let fabric = SharedFabric::new(HierarchyConfig::broadwell_like());
-        let mmus = (0..cores).map(|_| {
-            Mmu::with_fabric(MmuConfig::default().with_asap(asap.clone()), fabric.clone())
-        });
+        let config = MmuConfig::default().with_asap(asap);
         if coupled {
-            drive(
-                mmus.map(Coupled).collect(),
-                &mut processes,
-                &mut streams,
-                &meta,
-            )
+            let engines: Vec<Engine<Coupled>> = (0..cores)
+                .map(|_| Engine::with_fabric(config.clone(), fabric.clone()))
+                .collect();
+            drive(engines, &mut processes, &mut streams, &meta)
         } else {
-            drive(mmus.collect(), &mut processes, &mut streams, &meta)
+            let engines: Vec<Mmu> = (0..cores)
+                .map(|_| Mmu::with_fabric(config.clone(), fabric.clone()))
+                .collect();
+            drive(engines, &mut processes, &mut streams, &meta)
         }
     }
 
@@ -539,13 +543,13 @@ fn contender_hot_paths(c: &mut Criterion) {
     });
     TranslationEngine::load_context(&mut mmu, &process);
     for va in &vas {
-        let _ = mmu.translate(&process, *va);
+        let _ = mmu.translate_access(&mut process, *va);
     }
     let mut i = 0usize;
     g.bench_function("tlb_block_lookup", |b| {
         b.iter(|| {
             i = (i + 31) % vas.len();
-            mmu.translate(&process, vas[i])
+            mmu.translate_access(&mut process, vas[i])
         })
     });
 

@@ -19,11 +19,14 @@
 //!   it while the conventional radix walk verifies the guess. Walks are not
 //!   shortened — the data fetch is overlapped with them.
 //!
-//! Both backends embed the same [`EngineCore`](asap_core::EngineCore)
-//! plumbing as the paper's own MMUs and are architecturally invisible:
-//! every committed translation comes from the verifying page walk, never
-//! from a block or a hash guess alone (pinned by
-//! `tests/prop_contenders_correctness.rs`).
+//! Both are [`Backend`](asap_core::Backend)s of the same
+//! [`Engine`](asap_core::Engine) shell as the paper's own MMUs: they supply
+//! only their S-TLB-miss path, and neither modifies the radix walk itself
+//! (that is ASAP's trick) — both run the stock
+//! [`EngineCore::walk_1d`](asap_core::EngineCore::walk_1d). Both are
+//! architecturally invisible: every committed translation comes from the
+//! verifying page walk, never from a block or a hash guess alone (pinned
+//! by `tests/prop_contenders_correctness.rs`).
 //!
 //! # Examples
 //!
@@ -51,11 +54,10 @@
 mod predictor;
 mod revelator;
 mod victima;
-mod walk;
 
 pub use predictor::{PtwCostPredictor, PtwCostPredictorConfig};
-pub use revelator::{RevelatorConfig, RevelatorMmu, RevelatorStats};
-pub use victima::{VictimaConfig, VictimaMmu, VictimaStats, TLB_BLOCK_PAGES};
+pub use revelator::{Revelator, RevelatorConfig, RevelatorMmu, RevelatorStats};
+pub use victima::{Victima, VictimaConfig, VictimaMmu, VictimaStats, TLB_BLOCK_PAGES};
 
 /// Which contender backend a run specification selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

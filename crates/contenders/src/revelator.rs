@@ -19,14 +19,12 @@
 //! scattered groups mispredict — reproducing the paper's sensitivity to
 //! memory pressure.
 
-use crate::walk::verified_walk;
 use asap_cache::HierarchyConfig;
-use asap_core::{
-    EngineCore, EngineOutcome, EngineStats, ServedByMatrix, TranslationEngine, TranslationPath,
-};
+use asap_core::{Backend, CoreConfig, Engine, EngineCore, EngineOutcome, TranslationPath};
 use asap_os::{Process, SpeculationHint};
-use asap_tlb::{PageWalkCaches, PwcConfig, TlbConfig, TlbEntry, TlbLevel};
-use asap_types::{CacheLineAddr, PhysAddr, VirtAddr};
+use asap_telemetry::{Collect, MetricSet};
+use asap_tlb::{PageWalkCaches, PwcConfig, TlbConfig, TlbEntry};
+use asap_types::{Asid, VirtAddr};
 
 /// Full Revelator-MMU configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,8 +96,8 @@ impl RevelatorStats {
     }
 }
 
-impl asap_telemetry::Collect for RevelatorStats {
-    fn collect(&self, prefix: &str, out: &mut asap_telemetry::MetricSet) {
+impl Collect for RevelatorStats {
+    fn collect(&self, prefix: &str, out: &mut MetricSet) {
         out.counter(
             format!("{prefix}speculations_issued_total"),
             "speculative data fetches issued",
@@ -136,112 +134,93 @@ impl asap_telemetry::Collect for RevelatorStats {
 /// The Revelator-style translation machine: stock TLBs, PWCs and walker,
 /// plus the hash unit that overlaps a speculative data fetch with the
 /// verifying walk.
+pub type RevelatorMmu = Engine<Revelator>;
+
+/// The Revelator miss path: the hash unit's speculative data fetch, then
+/// the stock walk that verifies it.
 #[derive(Debug)]
-pub struct RevelatorMmu {
-    core: EngineCore,
+pub struct Revelator {
     pwc: PageWalkCaches,
     hash_cycles: u64,
     hint: Option<SpeculationHint>,
-    served: ServedByMatrix,
     stats: RevelatorStats,
 }
 
-impl RevelatorMmu {
-    /// Builds the MMU from `config`, with a private memory fabric (the
-    /// single-core machine).
+impl Revelator {
+    /// Revelator-specific counters.
     #[must_use]
-    pub fn new(config: RevelatorConfig) -> Self {
-        let fabric = asap_cache::SharedFabric::new(config.hierarchy.clone());
-        Self::with_fabric(config, fabric)
+    pub fn stats(&self) -> &RevelatorStats {
+        &self.stats
     }
+}
 
-    /// Builds an MMU whose core attaches to an **existing** shared fabric —
-    /// one core of an SMP machine, whose speculative data fetches then
-    /// contend for MSHRs and cache ways with every other core.
-    /// `config.hierarchy` is ignored (the fabric already exists).
-    #[must_use]
-    pub fn with_fabric(config: RevelatorConfig, fabric: asap_cache::SharedFabric) -> Self {
+impl Backend for Revelator {
+    type Machine = Process;
+    type Config = RevelatorConfig;
+
+    fn build(config: RevelatorConfig) -> (CoreConfig, Self) {
         let RevelatorConfig {
             l1_tlb,
             l2_tlb,
             pwc,
-            hierarchy: _,
+            hierarchy,
             hash_cycles,
             seed: _,
         } = config;
-        Self {
-            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric),
+        let revelator = Self {
             pwc: PageWalkCaches::new(pwc),
             hash_cycles,
             hint: None,
-            served: ServedByMatrix::new(),
             stats: RevelatorStats::default(),
-        }
+        };
+        let parts = CoreConfig {
+            l1_tlb,
+            l2_tlb,
+            hierarchy,
+        };
+        (parts, revelator)
     }
 
     /// Loads the OS-published speculation hint (context switch).
-    pub fn load_hint(&mut self, hint: SpeculationHint) {
-        self.hint = Some(hint);
+    fn load_context(&mut self, machine: &Process) {
+        self.hint = Some(machine.speculation_hint());
     }
 
-    /// Translates `va`: TLB fast path, then hash speculation overlapped
-    /// with the verifying walk. Advances the clock by the walk latency; the
-    /// speculative fetch rides an MSHR and surfaces as a merge when the
-    /// subsequent demand data access arrives.
-    pub fn translate(&mut self, machine: &Process, va: VirtAddr) -> EngineOutcome {
-        let asid = machine.asid();
-        let vpn = va.page_number();
-        if let Some((level, latency, entry)) = self.core.tlb_lookup(asid, vpn) {
-            let path = match level {
-                TlbLevel::L1 => TranslationPath::TlbL1,
-                TlbLevel::L2 => TranslationPath::TlbL2,
-            };
-            return EngineOutcome {
-                path,
-                latency,
-                phys: Some(entry.phys_addr(va)),
-                prefetches_issued: 0,
-                prefetches_dropped: 0,
-            };
-        }
-
+    /// Hash speculation overlapped with the verifying walk. The clock
+    /// advances by the walk latency; the speculative fetch rides an MSHR
+    /// and surfaces as a merge when the demand data access arrives.
+    fn translate_miss(
+        &mut self,
+        core: &mut EngineCore,
+        machine: &mut Process,
+        asid: Asid,
+        va: VirtAddr,
+    ) -> EngineOutcome {
         // The hash unit runs concurrently with walker activation; its
         // speculative data fetch issues `hash_cycles` after walk start.
-        let t0 = self.core.now();
         let mut issued = 0u8;
         let mut dropped = 0u8;
         let guess = self.hint.as_ref().and_then(|h| h.predict(va));
         match guess {
-            Some(pa) => {
-                match self
-                    .core
-                    .prefetch_line_at(pa.cache_line(), t0 + self.hash_cycles)
-                {
-                    Some(_) => {
-                        issued = 1;
-                        self.stats.speculations_issued += 1;
-                    }
-                    None => {
-                        dropped = 1;
-                        self.stats.speculations_dropped += 1;
-                    }
+            Some(pa) => match core.prefetch_line_at(pa.cache_line(), core.now() + self.hash_cycles)
+            {
+                Some(_) => {
+                    issued = 1;
+                    self.stats.speculations_issued += 1;
                 }
-            }
+                None => {
+                    dropped = 1;
+                    self.stats.speculations_dropped += 1;
+                }
+            },
             None => self.stats.declined += 1,
         }
 
         // The verifying walk — the only source of architectural truth.
-        let walk = verified_walk(
-            &mut self.core,
-            &mut self.pwc,
-            &mut self.served,
-            machine.flat_mirror(),
-            asid,
-            va,
-        );
+        let walk = core.walk_1d(&mut self.pwc, machine.flat_mirror(), asid, va);
         let phys = walk.translation.map(|tr| {
             let entry = TlbEntry::new(tr.frame, tr.size);
-            self.core.tlbs.fill(asid, vpn, entry);
+            core.tlbs.fill(asid, va.page_number(), entry);
             entry.phys_addr(va)
         });
         match (guess, phys) {
@@ -261,80 +240,17 @@ impl RevelatorMmu {
         }
     }
 
-    /// Revelator-specific counters.
-    #[must_use]
-    pub fn revelator_stats(&self) -> &RevelatorStats {
-        &self.stats
-    }
-
-    /// Walk-latency statistics.
-    #[must_use]
-    pub fn walk_stats(&self) -> &asap_core::WalkLatencyStats {
-        &self.core.walk_stats
-    }
-}
-
-impl TranslationEngine for RevelatorMmu {
-    type Machine = Process;
-
-    fn load_context(&mut self, machine: &Process) {
-        self.load_hint(machine.speculation_hint());
-    }
-
-    fn translate_access(&mut self, machine: &mut Process, va: VirtAddr) -> EngineOutcome {
-        self.translate(machine, va)
-    }
-
-    fn data_access(&mut self, pa: PhysAddr) -> asap_cache::AccessResult {
-        self.core.data_access(pa)
-    }
-
-    fn corunner_access(&mut self, line: CacheLineAddr) {
-        self.core.corunner_access(line);
-    }
-
-    fn now(&self) -> u64 {
-        self.core.now()
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        self.core.advance(cycles);
-    }
-
-    fn reset_stats(&mut self) {
-        self.core.reset_stats();
-        self.served = ServedByMatrix::new();
-        self.stats = RevelatorStats::default();
-    }
-
-    fn stats_snapshot(&self) -> EngineStats {
-        EngineStats {
-            walks: self.core.walk_stats.clone(),
-            served: self.served,
-            host_served: None,
-            l2_tlb: *self.core.tlbs.l2_stats(),
-            walk_faults: self.core.walk_faults,
-        }
-    }
-
     /// The speculative fetch comes from the hint loaded with the context;
     /// only the verifying walk reads the machine.
     fn translation_is_path_local(&self) -> bool {
         true
     }
 
-    fn set_tracer(&mut self, sink: asap_telemetry::TraceSink) {
-        self.core.set_tracer(sink);
+    fn reset_stats(&mut self) {
+        self.stats = RevelatorStats::default();
     }
 
-    fn take_tracer(&mut self) -> Option<asap_telemetry::TraceSink> {
-        self.core.take_tracer()
-    }
-
-    fn collect_metrics(&self, prefix: &str, out: &mut asap_telemetry::MetricSet) {
-        use asap_telemetry::Collect;
-        self.stats_snapshot().collect(prefix, out);
-        self.core.collect_fabric_metrics(prefix, out);
+    fn collect_metrics(&self, prefix: &str, out: &mut MetricSet) {
         self.stats.collect(&format!("{prefix}revelator_"), out);
     }
 }
@@ -342,9 +258,9 @@ impl TranslationEngine for RevelatorMmu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asap_core::SimMachine;
-    use asap_os::{Process, ProcessConfig, VmaKind};
-    use asap_types::{Asid, ByteSize};
+    use asap_core::{SimMachine, TranslationEngine};
+    use asap_os::{ProcessConfig, VmaKind};
+    use asap_types::ByteSize;
 
     fn process(cluster_fraction: f64) -> Process {
         Process::new(
@@ -374,11 +290,11 @@ mod tests {
         }
         let mut mmu = engine_with(&p);
         for va in &vas {
-            let out = mmu.translate(&p, *va);
+            let out = mmu.translate_access(&mut p, *va);
             assert_eq!(out.path, TranslationPath::Walk);
             assert_eq!(out.phys, Some(p.translate(*va).unwrap().phys_addr(*va)));
         }
-        let s = *mmu.revelator_stats();
+        let s = *mmu.backend().stats();
         assert_eq!(s.verified_correct, 32);
         assert_eq!(s.mispredicted, 0);
         assert!((s.accuracy() - 1.0).abs() < 1e-12);
@@ -397,7 +313,7 @@ mod tests {
             // Misprediction never leaks into the committed translation.
             assert_eq!(out.phys, p.reference_translate(*va));
         }
-        let s = *mmu.revelator_stats();
+        let s = *mmu.backend().stats();
         assert_eq!(s.verified_correct, 0);
         assert_eq!(s.mispredicted, 32);
     }
@@ -411,7 +327,7 @@ mod tests {
         let va = heap_va(&p, 0);
         p.touch(va).unwrap();
         let mut mmu = engine_with(&p);
-        let out = mmu.translate(&p, va);
+        let out = mmu.translate_access(&mut p, va);
         let pa = out.phys.unwrap();
         let r = TranslationEngine::data_access(&mut mmu, pa);
         assert!(
@@ -427,7 +343,7 @@ mod tests {
         let va = heap_va(&p, 0);
         p.touch(va).unwrap();
         let mut mmu = engine_with(&p);
-        let out = mmu.translate(&p, va);
+        let out = mmu.translate_access(&mut p, va);
         let pa = out.phys.unwrap();
         let r = TranslationEngine::data_access(&mut mmu, pa);
         assert_eq!(r.latency, 191, "wrong guess cannot help the real fetch");
@@ -439,9 +355,9 @@ mod tests {
         let va = heap_va(&p, 0);
         p.touch(va).unwrap();
         let mut mmu = RevelatorMmu::new(RevelatorConfig::default());
-        let out = mmu.translate(&p, va);
+        let out = mmu.translate_access(&mut p, va);
         assert_eq!(out.prefetches_issued, 0);
-        assert_eq!(mmu.revelator_stats().declined, 1);
+        assert_eq!(mmu.backend().stats().declined, 1);
         assert_eq!(out.phys, Some(p.translate(va).unwrap().phys_addr(va)));
     }
 
@@ -450,12 +366,12 @@ mod tests {
         // An address inside a published window but never demand-paged: the
         // hash unit guesses, the verifying walk faults, and the guess must
         // still be accounted (wrong by definition).
-        let p = process(1.0);
+        let mut p = process(1.0);
         let va = heap_va(&p, 0);
         let mut mmu = engine_with(&p);
-        let out = mmu.translate(&p, va);
+        let out = mmu.translate_access(&mut p, va);
         assert_eq!(out.phys, None);
-        let s = *mmu.revelator_stats();
+        let s = *mmu.backend().stats();
         assert_eq!(s.mispredicted, 1);
         assert_eq!(
             s.verified_correct + s.mispredicted,
@@ -478,8 +394,8 @@ mod tests {
         let mut with_hint = engine_with(&p1);
         let mut without = RevelatorMmu::new(RevelatorConfig::default());
         for va in &vas {
-            let a = with_hint.translate(&p1, *va);
-            let b = without.translate(&p2, *va);
+            let a = with_hint.translate_access(&mut p1, *va);
+            let b = without.translate_access(&mut p2, *va);
             assert_eq!(a.latency, b.latency, "va {va}");
             assert_eq!(a.phys, b.phys);
         }
@@ -494,9 +410,9 @@ mod tests {
         }
         let mut mmu = engine_with(&p);
         for va in &vas {
-            let _ = mmu.translate(&p, *va);
+            let _ = mmu.translate_access(&mut p, *va);
         }
-        let acc = mmu.revelator_stats().accuracy();
+        let acc = mmu.backend().stats().accuracy();
         assert!(
             (acc - 0.5).abs() < 0.2,
             "accuracy {acc} should track the 0.5 cluster fraction"

@@ -25,16 +25,14 @@
 //! * The simulated OS never remaps a page, so blocks need no shootdown
 //!   path; a real implementation invalidates block lines like TLB entries.
 
-use crate::walk::verified_walk;
 use crate::{PtwCostPredictor, PtwCostPredictorConfig};
-use asap_cache::HierarchyConfig;
-use asap_core::{
-    EngineCore, EngineOutcome, EngineStats, ServedByMatrix, TranslationEngine, TranslationPath,
-};
+use asap_cache::{HierarchyConfig, SharedFabric};
+use asap_core::{Backend, CoreConfig, Engine, EngineCore, EngineOutcome, TranslationPath};
 use asap_os::Process;
-use asap_tlb::{PageWalkCaches, PwcConfig, TlbConfig, TlbEntry, TlbLevel};
+use asap_telemetry::{Collect, MetricSet};
+use asap_tlb::{PageWalkCaches, PwcConfig, TlbConfig, TlbEntry};
 use asap_types::FastMap;
-use asap_types::{Asid, CacheLineAddr, PageSize, PhysAddr, VirtAddr, VirtPageNum};
+use asap_types::{Asid, CacheLineAddr, PageSize, VirtAddr, VirtPageNum};
 
 /// Translations per TLB block: eight 8-byte entries fill one 64-byte line,
 /// covering eight virtually contiguous 4 KiB pages.
@@ -106,8 +104,8 @@ pub struct VictimaStats {
     pub predictor_rejections: u64,
 }
 
-impl asap_telemetry::Collect for VictimaStats {
-    fn collect(&self, prefix: &str, out: &mut asap_telemetry::MetricSet) {
+impl Collect for VictimaStats {
+    fn collect(&self, prefix: &str, out: &mut MetricSet) {
         out.counter(
             format!("{prefix}block_hits_total"),
             "S-TLB misses served from a cache-resident TLB block",
@@ -133,50 +131,27 @@ impl asap_telemetry::Collect for VictimaStats {
 
 /// The Victima-style translation machine: stock TLBs, PWCs and walker,
 /// plus the TLB-block path between the S-TLB and the walk.
+pub type VictimaMmu = Engine<Victima>;
+
+/// The Victima miss path: a probe of the L2-resident TLB blocks, then the
+/// stock walk; S-TLB victims the cost predictor deems costly become
+/// blocks.
 #[derive(Debug)]
-pub struct VictimaMmu {
-    core: EngineCore,
+pub struct Victima {
     pwc: PageWalkCaches,
     predictor: PtwCostPredictor,
     /// Shadow payloads of installed blocks, keyed by (ASID, block index).
     /// Residency is decided by the L2 cache; this map only supplies the
     /// translations for lines that are still resident.
     blocks: FastMap<(Asid, u64), [Option<TlbEntry>; TLB_BLOCK_PAGES as usize]>,
-    served: ServedByMatrix,
     stats: VictimaStats,
 }
 
-impl VictimaMmu {
-    /// Builds the MMU from `config`, with a private memory fabric (the
-    /// single-core machine).
+impl Victima {
+    /// Victima-specific counters.
     #[must_use]
-    pub fn new(config: VictimaConfig) -> Self {
-        let fabric = asap_cache::SharedFabric::new(config.hierarchy.clone());
-        Self::with_fabric(config, fabric)
-    }
-
-    /// Builds an MMU whose core attaches to an **existing** shared fabric —
-    /// one core of an SMP machine, whose TLB blocks then contend for the
-    /// *shared* L2 with every other core's data and blocks.
-    /// `config.hierarchy` is ignored (the fabric already exists).
-    #[must_use]
-    pub fn with_fabric(config: VictimaConfig, fabric: asap_cache::SharedFabric) -> Self {
-        let VictimaConfig {
-            l1_tlb,
-            l2_tlb,
-            pwc,
-            hierarchy: _,
-            predictor,
-            seed: _,
-        } = config;
-        Self {
-            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric),
-            pwc: PageWalkCaches::new(pwc),
-            predictor: PtwCostPredictor::new(predictor),
-            blocks: FastMap::default(),
-            served: ServedByMatrix::new(),
-            stats: VictimaStats::default(),
-        }
+    pub fn stats(&self) -> &VictimaStats {
+        &self.stats
     }
 
     /// The synthetic L2 line holding the block for `(asid, block index)`.
@@ -194,11 +169,15 @@ impl VictimaMmu {
     /// Probes the L2 for a resident TLB block covering `vpn`. On a hit the
     /// probe costs an L2 access; on a miss it overlaps walker activation
     /// (like ASAP's range-register check) and costs nothing extra.
-    fn block_lookup(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
+    fn block_lookup(
+        &self,
+        fabric: &SharedFabric,
+        asid: Asid,
+        vpn: VirtPageNum,
+    ) -> Option<TlbEntry> {
         let (block, sub) = Self::block_of(vpn);
-        let entry = *self.blocks.get(&(asid, block))?.get(sub)?;
-        let entry = entry?;
-        self.core
+        let entry = (*self.blocks.get(&(asid, block))?.get(sub)?)?;
+        fabric
             .l2_lookup(Self::block_line(asid, block))
             .then_some(entry)
     }
@@ -206,7 +185,13 @@ impl VictimaMmu {
     /// Offers an S-TLB victim to the block store: 4 KiB victims whose
     /// region the predictor deems costly get (merged into) a block line in
     /// the L2.
-    fn offer_victim(&mut self, asid: Asid, vpn: VirtPageNum, entry: TlbEntry) {
+    fn offer_victim(
+        &mut self,
+        fabric: &SharedFabric,
+        asid: Asid,
+        vpn: VirtPageNum,
+        entry: TlbEntry,
+    ) {
         if entry.size != PageSize::Size4K {
             // Large-page victims have reach already; blocks hold 4K PTEs.
             return;
@@ -217,7 +202,7 @@ impl VictimaMmu {
         }
         let (block, sub) = Self::block_of(vpn);
         let line = Self::block_line(asid, block);
-        let resident = self.core.l2_contains(line);
+        let resident = fabric.l2_contains(line);
         let payload = self.blocks.entry((asid, block)).or_default();
         if !resident {
             // The line is not in the L2, so any shadowed payload was lost
@@ -226,43 +211,63 @@ impl VictimaMmu {
             *payload = [None; TLB_BLOCK_PAGES as usize];
         }
         payload[sub] = Some(entry);
-        self.core.l2_install(line);
+        fabric.l2_install(line);
         self.stats.blocks_installed += 1;
     }
 
-    /// Translates `va`: TLB fast path, then the TLB-block probe, then the
-    /// verifying walk. Advances the clock by the translation latency.
-    pub fn translate(&mut self, machine: &Process, va: VirtAddr) -> EngineOutcome {
-        let asid = machine.asid();
-        let vpn = va.page_number();
-        if let Some((level, latency, entry)) = self.core.tlb_lookup(asid, vpn) {
-            let path = match level {
-                TlbLevel::L1 => TranslationPath::TlbL1,
-                TlbLevel::L2 => TranslationPath::TlbL2,
-            };
-            return EngineOutcome {
-                path,
-                latency,
-                phys: Some(entry.phys_addr(va)),
-                prefetches_issued: 0,
-                prefetches_dropped: 0,
-            };
+    /// Fills the TLBs with `entry`; the displaced S-TLB entry gets its own
+    /// shot at a block.
+    fn fill(&mut self, core: &mut EngineCore, asid: Asid, vpn: VirtPageNum, entry: TlbEntry) {
+        if let Some((v_asid, v_vpn, v_entry)) = core.tlbs.fill_with_victim(asid, vpn, entry) {
+            self.offer_victim(core.fabric(), v_asid, v_vpn, v_entry);
         }
-        if let Some(entry) = self.block_lookup(asid, vpn) {
+    }
+}
+
+impl Backend for Victima {
+    type Machine = Process;
+    type Config = VictimaConfig;
+
+    fn build(config: VictimaConfig) -> (CoreConfig, Self) {
+        let VictimaConfig {
+            l1_tlb,
+            l2_tlb,
+            pwc,
+            hierarchy,
+            predictor,
+            seed: _,
+        } = config;
+        let victima = Self {
+            pwc: PageWalkCaches::new(pwc),
+            predictor: PtwCostPredictor::new(predictor),
+            blocks: FastMap::default(),
+            stats: VictimaStats::default(),
+        };
+        let parts = CoreConfig {
+            l1_tlb,
+            l2_tlb,
+            hierarchy,
+        };
+        (parts, victima)
+    }
+
+    /// Victima is OS-transparent: no descriptors, no published hints.
+    fn load_context(&mut self, _machine: &Process) {}
+
+    /// The TLB-block probe, then the stock walk.
+    fn translate_miss(
+        &mut self,
+        core: &mut EngineCore,
+        machine: &mut Process,
+        asid: Asid,
+        va: VirtAddr,
+    ) -> EngineOutcome {
+        let vpn = va.page_number();
+        if let Some(entry) = self.block_lookup(core.fabric(), asid, vpn) {
             self.stats.block_hits += 1;
-            let latency = self.core.l2_latency();
-            self.core.advance(latency);
-            let now = self.core.now();
-            if let Some(t) = self.core.tracer_mut() {
-                t.record(now, asap_telemetry::TraceEventKind::TlbHit { level: 3 });
-            }
-            // Promote back into the TLBs; the displaced entry gets its own
-            // shot at a block.
-            if let Some((v_asid, v_vpn, v_entry)) =
-                self.core.tlbs.fill_with_victim(asid, vpn, entry)
-            {
-                self.offer_victim(v_asid, v_vpn, v_entry);
-            }
+            let latency = core.fabric().l2_latency();
+            core.charge_tlb_hit(3, latency);
+            self.fill(core, asid, vpn, entry);
             return EngineOutcome {
                 path: TranslationPath::TlbBlock,
                 latency,
@@ -272,22 +277,11 @@ impl VictimaMmu {
             };
         }
         self.stats.block_misses += 1;
-        let walk = verified_walk(
-            &mut self.core,
-            &mut self.pwc,
-            &mut self.served,
-            machine.flat_mirror(),
-            asid,
-            va,
-        );
+        let walk = core.walk_1d(&mut self.pwc, machine.flat_mirror(), asid, va);
         self.predictor.record(asid, vpn, walk.latency);
         let phys = walk.translation.map(|tr| {
             let entry = TlbEntry::new(tr.frame, tr.size);
-            if let Some((v_asid, v_vpn, v_entry)) =
-                self.core.tlbs.fill_with_victim(asid, vpn, entry)
-            {
-                self.offer_victim(v_asid, v_vpn, v_entry);
-            }
+            self.fill(core, asid, vpn, entry);
             entry.phys_addr(va)
         });
         EngineOutcome {
@@ -299,79 +293,16 @@ impl VictimaMmu {
         }
     }
 
-    /// Victima-specific counters.
-    #[must_use]
-    pub fn victima_stats(&self) -> &VictimaStats {
-        &self.stats
-    }
-
-    /// Walk-latency statistics.
-    #[must_use]
-    pub fn walk_stats(&self) -> &asap_core::WalkLatencyStats {
-        &self.core.walk_stats
-    }
-}
-
-impl TranslationEngine for VictimaMmu {
-    type Machine = Process;
-
-    fn load_context(&mut self, _machine: &Process) {
-        // Victima is OS-transparent: no descriptors, no published hints.
-    }
-
-    fn translate_access(&mut self, machine: &mut Process, va: VirtAddr) -> EngineOutcome {
-        self.translate(machine, va)
-    }
-
-    fn data_access(&mut self, pa: PhysAddr) -> asap_cache::AccessResult {
-        self.core.data_access(pa)
-    }
-
-    fn corunner_access(&mut self, line: CacheLineAddr) {
-        self.core.corunner_access(line);
-    }
-
-    fn now(&self) -> u64 {
-        self.core.now()
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        self.core.advance(cycles);
-    }
-
-    fn reset_stats(&mut self) {
-        self.core.reset_stats();
-        self.served = ServedByMatrix::new();
-        self.stats = VictimaStats::default();
-    }
-
-    fn stats_snapshot(&self) -> EngineStats {
-        EngineStats {
-            walks: self.core.walk_stats.clone(),
-            served: self.served,
-            host_served: None,
-            l2_tlb: *self.core.tlbs.l2_stats(),
-            walk_faults: self.core.walk_faults,
-        }
-    }
-
     /// TLB blocks hold evicted TLB entries, never PTEs read off the path.
     fn translation_is_path_local(&self) -> bool {
         true
     }
 
-    fn set_tracer(&mut self, sink: asap_telemetry::TraceSink) {
-        self.core.set_tracer(sink);
+    fn reset_stats(&mut self) {
+        self.stats = VictimaStats::default();
     }
 
-    fn take_tracer(&mut self) -> Option<asap_telemetry::TraceSink> {
-        self.core.take_tracer()
-    }
-
-    fn collect_metrics(&self, prefix: &str, out: &mut asap_telemetry::MetricSet) {
-        use asap_telemetry::Collect;
-        self.stats_snapshot().collect(prefix, out);
-        self.core.collect_fabric_metrics(prefix, out);
+    fn collect_metrics(&self, prefix: &str, out: &mut MetricSet) {
         self.stats.collect(&format!("{prefix}victima_"), out);
     }
 }
@@ -379,9 +310,9 @@ impl TranslationEngine for VictimaMmu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asap_core::SimMachine;
-    use asap_os::{Process, ProcessConfig, VmaKind};
-    use asap_types::{Asid, ByteSize};
+    use asap_core::{SimMachine, TranslationEngine};
+    use asap_os::{ProcessConfig, VmaKind};
+    use asap_types::{ByteSize, PhysAddr};
 
     /// A config whose S-TLB is tiny, so evictions (and thus blocks) appear
     /// after a handful of fills.
@@ -423,18 +354,18 @@ mod tests {
         }
         let mut mmu = VictimaMmu::new(tiny_stlb_config());
         for va in &vas {
-            let out = mmu.translate(&p, *va);
+            let out = mmu.translate_access(&mut p, *va);
             assert_eq!(out.path, TranslationPath::Walk);
         }
         assert!(
-            mmu.victima_stats().blocks_installed > 0,
+            mmu.backend().stats().blocks_installed > 0,
             "tiny S-TLB must evict into blocks"
         );
         // Re-touch the earliest pages: long evicted from the S-TLB, but
         // their blocks are L2-resident.
         let mut hits = 0;
         for va in &vas[..8] {
-            let out = mmu.translate(&p, *va);
+            let out = mmu.translate_access(&mut p, *va);
             if out.path == TranslationPath::TlbBlock {
                 hits += 1;
                 assert_eq!(out.latency, 12, "block hit costs an L2 access");
@@ -444,7 +375,7 @@ mod tests {
         assert!(
             hits > 0,
             "expected block hits, stats: {:?}",
-            mmu.victima_stats()
+            mmu.backend().stats()
         );
     }
 
@@ -457,13 +388,13 @@ mod tests {
         }
         let mut mmu = VictimaMmu::new(tiny_stlb_config());
         for va in &vas {
-            let _ = mmu.translate(&p, *va);
+            let _ = mmu.translate_access(&mut p, *va);
         }
-        let walks_before = mmu.walk_stats().count();
+        let walks_before = mmu.stats_snapshot().walks.count();
         for va in &vas {
-            let _ = mmu.translate(&p, *va);
+            let _ = mmu.translate_access(&mut p, *va);
         }
-        let second_pass_walks = mmu.walk_stats().count() - walks_before;
+        let second_pass_walks = mmu.stats_snapshot().walks.count() - walks_before;
         assert!(
             second_pass_walks < vas.len() as u64,
             "blocks must absorb some second-pass misses ({second_pass_walks}/{})",
@@ -483,12 +414,12 @@ mod tests {
         config.predictor.threshold = u64::MAX;
         let mut mmu = VictimaMmu::new(config);
         for va in &vas {
-            let _ = mmu.translate(&p, *va);
+            let _ = mmu.translate_access(&mut p, *va);
         }
         for va in &vas {
-            let _ = mmu.translate(&p, *va);
+            let _ = mmu.translate_access(&mut p, *va);
         }
-        let s = *mmu.victima_stats();
+        let s = *mmu.backend().stats();
         assert_eq!(s.blocks_installed, 0);
         assert!(s.predictor_rejections > 0);
         assert_eq!(s.block_hits, 0);
@@ -503,44 +434,46 @@ mod tests {
         }
         let mut mmu = VictimaMmu::new(tiny_stlb_config());
         for va in &vas {
-            let _ = mmu.translate(&p, *va);
+            let _ = mmu.translate_access(&mut p, *va);
         }
-        let installed = mmu.victima_stats().blocks_installed;
+        let installed = mmu.backend().stats().blocks_installed;
         assert!(installed > 0);
         // Thrash the whole hierarchy: every block line is evicted.
         for i in 0..400_000u64 {
             let _ = mmu.data_access(PhysAddr::new(i * 64));
         }
-        let hits_before = mmu.victima_stats().block_hits;
+        let hits_before = mmu.backend().stats().block_hits;
         for va in &vas[..8] {
-            let out = mmu.translate(&p, *va);
+            let out = mmu.translate_access(&mut p, *va);
             assert_ne!(out.path, TranslationPath::TlbBlock);
         }
-        assert_eq!(mmu.victima_stats().block_hits, hits_before);
+        assert_eq!(mmu.backend().stats().block_hits, hits_before);
     }
 
     #[test]
     fn reinstall_after_eviction_does_not_resurrect_stale_entries() {
-        let mut mmu = VictimaMmu::new(VictimaConfig::default());
+        let (_, mut victima) = Victima::build(VictimaConfig::default());
+        let fabric = SharedFabric::new(HierarchyConfig::broadwell_like());
         let asid = Asid(1);
         let a = VirtPageNum::new(8);
         let b = VirtPageNum::new(9); // same 8-page block as `a`
         let ea = TlbEntry::new(asap_types::PhysFrameNum::new(100), PageSize::Size4K);
         let eb = TlbEntry::new(asap_types::PhysFrameNum::new(101), PageSize::Size4K);
-        mmu.offer_victim(asid, a, ea); // unknown region → predicted costly
-        mmu.offer_victim(asid, b, eb);
-        assert_eq!(mmu.block_lookup(asid, a), Some(ea));
-        assert_eq!(mmu.block_lookup(asid, b), Some(eb));
+        victima.offer_victim(&fabric, asid, a, ea); // unknown region → predicted costly
+        victima.offer_victim(&fabric, asid, b, eb);
+        assert_eq!(victima.block_lookup(&fabric, asid, a), Some(ea));
+        assert_eq!(victima.block_lookup(&fabric, asid, b), Some(eb));
         // Evict the block line with data pressure: both payloads are lost.
+        let mut now = 0;
         for i in 0..400_000u64 {
-            let _ = mmu.data_access(PhysAddr::new(i * 64));
+            now += fabric.access_at(CacheLineAddr::new(i), now).latency;
         }
-        assert_eq!(mmu.block_lookup(asid, a), None);
+        assert_eq!(victima.block_lookup(&fabric, asid, a), None);
         // Re-installing one page must not resurrect the other's payload.
-        mmu.offer_victim(asid, a, ea);
-        assert_eq!(mmu.block_lookup(asid, a), Some(ea));
+        victima.offer_victim(&fabric, asid, a, ea);
+        assert_eq!(victima.block_lookup(&fabric, asid, a), Some(ea));
         assert_eq!(
-            mmu.block_lookup(asid, b),
+            victima.block_lookup(&fabric, asid, b),
             None,
             "stale sub-entry resurrected after cache eviction"
         );
@@ -571,13 +504,13 @@ mod tests {
         }
         let mut mmu = VictimaMmu::new(tiny_stlb_config());
         for va in &vas {
-            let _ = mmu.translate(&p, *va);
+            let _ = mmu.translate_access(&mut p, *va);
         }
         TranslationEngine::reset_stats(&mut mmu);
-        assert_eq!(mmu.victima_stats().blocks_installed, 0);
+        assert_eq!(mmu.backend().stats().blocks_installed, 0);
         let mut block_hits = 0;
         for va in &vas[..8] {
-            if mmu.translate(&p, *va).path == TranslationPath::TlbBlock {
+            if mmu.translate_access(&mut p, *va).path == TranslationPath::TlbBlock {
                 block_hits += 1;
             }
         }

@@ -12,16 +12,17 @@
 //! hierarchy per walk.
 //!
 //! This crate composes the substrates into the two machines the paper
-//! evaluates, both implementing the [`TranslationEngine`] trait over a
-//! shared engine core (TLB fast path, hierarchy clock, prefetch issue,
-//! walk accounting):
+//! evaluates. Both are the one [`Engine`] shell — TLB fast path, core
+//! clock, fabric access, accounting, and the one [`TranslationEngine`]
+//! implementation — over a [`Backend`] that supplies only the S-TLB-miss
+//! path:
 //!
-//! * [`Mmu`] — native translation: L1/L2 TLBs → split PWCs → hardware walk
-//!   over the cache hierarchy, with the ASAP prefetcher attached; optional
-//!   clustered TLB (§5.4.1);
-//! * [`NestedMmu`] — virtualized translation: the 24-access 2D walk of
-//!   Fig. 7 with dedicated guest/host PWCs and ASAP applied per dimension
-//!   (`P1g`, `P2g`, `P1h`, `P2h`).
+//! * [`Mmu`] = `Engine<`[`Native`]`>` — native translation: L1/L2 TLBs →
+//!   split PWCs → hardware walk over the cache hierarchy, with the ASAP
+//!   prefetcher attached; optional clustered TLB (§5.4.1);
+//! * [`NestedMmu`] = `Engine<`[`Nested`]`>` — virtualized translation: the
+//!   24-access 2D walk of Fig. 7 with dedicated guest/host PWCs and ASAP
+//!   applied per dimension (`P1g`, `P2g`, `P1h`, `P2h`).
 //!
 //! The [`TranslationEngine`]/[`SimMachine`] pair is what the simulation
 //! driver in `asap-sim` speaks, so new translation backends drop in
@@ -30,7 +31,7 @@
 //! # Examples
 //!
 //! ```
-//! use asap_core::{AsapHwConfig, Mmu, MmuConfig, TranslationPath};
+//! use asap_core::{AsapHwConfig, Mmu, MmuConfig, TranslationEngine, TranslationPath};
 //! use asap_os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
 //! use asap_types::{Asid, ByteSize};
 //!
@@ -41,7 +42,7 @@
 //! process.touch(va).unwrap();
 //!
 //! let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-//! mmu.load_context(process.vma_descriptors());
+//! mmu.load_context(&process);
 //!
 //! let out = mmu.translate(process.flat_mirror(), process.asid(), va, None);
 //! assert!(matches!(out.path, TranslationPath::Walk));
@@ -64,11 +65,11 @@ mod stats;
 pub use cluster::ClusterSource;
 pub use config::{AsapHwConfig, MmuConfig, NestedAsapConfig, NestedMmuConfig};
 pub use engine::{
-    EngineCore, EngineOutcome, EngineStats, SimMachine, TranslationEngine, TranslationPath,
-    L2_TLB_HIT_CYCLES,
+    AddressSpace, Backend, CoreConfig, Engine, EngineCore, EngineOutcome, EngineStats, SimMachine,
+    TranslationEngine, TranslationPath, Walk1d, WalkSources, L2_TLB_HIT_CYCLES,
 };
-pub use mmu::{AccessOutcome, Mmu, WalkReport, WalkSources};
-pub use nested_mmu::{NestedAccessOutcome, NestedMmu, NestedPath, NestedWalkReport};
+pub use mmu::{AccessOutcome, Mmu, Native, WalkReport};
+pub use nested_mmu::{Nested, NestedAccessOutcome, NestedMmu, NestedWalkReport};
 pub use prefetcher::prefetch_target;
 pub use range_regs::RangeRegisterFile;
 pub use stats::{ServedByMatrix, ServedSource, WalkLatencyStats};

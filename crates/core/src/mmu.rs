@@ -1,87 +1,13 @@
 //! The native-execution MMU: TLBs → PWCs → walker, with ASAP attached.
 
-use crate::engine::{EngineCore, EngineOutcome, EngineStats, TranslationEngine, TranslationPath};
-use crate::{
-    AsapHwConfig, ClusterSource, MmuConfig, RangeRegisterFile, ServedByMatrix, ServedSource,
+use crate::engine::{
+    Backend, CoreConfig, Engine, EngineCore, EngineOutcome, TranslationPath, WalkSources,
 };
-use asap_cache::HierarchyStats;
+use crate::{AsapHwConfig, ClusterSource, MmuConfig, RangeRegisterFile};
 use asap_os::Process;
-use asap_pt::{Translation, WalkSource, MAX_WALK_DEPTH};
-use asap_tlb::{ClusteredTlb, PageWalkCaches, TlbEntry, TlbLevel, TlbStats};
-use asap_types::{Asid, CacheLineAddr, PageSize, PhysAddr, PtLevel, VirtAddr};
-
-/// Per-level serving sources of one walk (root first): the fixed-capacity,
-/// allocation-free twin of a `Vec<(PtLevel, ServedSource)>` — a walk visits
-/// at most [`MAX_WALK_DEPTH`] levels.
-#[derive(Debug, Clone, Copy)]
-pub struct WalkSources {
-    items: [(PtLevel, ServedSource); MAX_WALK_DEPTH],
-    len: u8,
-}
-
-impl WalkSources {
-    const FILLER: (PtLevel, ServedSource) = (PtLevel::Pl1, ServedSource::Pwc);
-
-    /// An empty source list.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            items: [Self::FILLER; MAX_WALK_DEPTH],
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, level: PtLevel, src: ServedSource) {
-        self.items[usize::from(self.len)] = (level, src);
-        self.len += 1;
-    }
-
-    /// The recorded `(level, source)` pairs, root first.
-    #[must_use]
-    pub fn as_slice(&self) -> &[(PtLevel, ServedSource)] {
-        &self.items[..usize::from(self.len)]
-    }
-
-    /// Iterates over the recorded pairs.
-    pub fn iter(&self) -> core::slice::Iter<'_, (PtLevel, ServedSource)> {
-        self.as_slice().iter()
-    }
-
-    /// Number of recorded levels.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        usize::from(self.len)
-    }
-
-    /// Whether no level was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Default for WalkSources {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PartialEq for WalkSources {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for WalkSources {}
-
-impl<'a> IntoIterator for &'a WalkSources {
-    type Item = &'a (PtLevel, ServedSource);
-    type IntoIter = core::slice::Iter<'a, (PtLevel, ServedSource)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
+use asap_pt::WalkSource;
+use asap_tlb::{ClusteredTlb, PageWalkCaches, TlbEntry};
+use asap_types::{Asid, PageSize, PhysAddr, VirtAddr};
 
 /// Details of one page walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,65 +38,171 @@ pub struct AccessOutcome {
     pub walk: Option<WalkReport>,
 }
 
+impl From<AccessOutcome> for EngineOutcome {
+    fn from(out: AccessOutcome) -> Self {
+        Self {
+            path: out.path,
+            latency: out.latency,
+            phys: out.phys,
+            prefetches_issued: out.walk.as_ref().map_or(0, |w| w.prefetches_issued),
+            prefetches_dropped: out.walk.as_ref().map_or(0, |w| w.prefetches_dropped),
+        }
+    }
+}
+
 /// The per-core translation machine of Fig. 6: unmodified TLBs, PWCs,
 /// walker and cache hierarchy, plus the ASAP range registers and prefetch
-/// logic bolted onto the TLB-miss path. The TLB fast path, hierarchy clock
-/// and walk accounting live in the shared `EngineCore`; this type adds
-/// the native-only structures (split PWCs, clustered TLB, one range-register
-/// file).
+/// logic bolted onto the TLB-miss path.
+pub type Mmu = Engine<Native>;
+
+/// The native miss path: split PWCs, an optional clustered TLB, and one
+/// range-register file feeding the ASAP prefetcher.
 #[derive(Debug)]
-pub struct Mmu {
-    core: EngineCore,
+pub struct Native {
     asap: AsapHwConfig,
     pwc: PageWalkCaches,
     clustered: Option<ClusteredTlb>,
     range_regs: RangeRegisterFile,
-    served: ServedByMatrix,
 }
 
-impl Mmu {
-    /// Builds an MMU from `config`, with a private memory fabric (the
-    /// single-core machine).
-    #[must_use]
-    pub fn new(config: MmuConfig) -> Self {
-        let fabric = asap_cache::SharedFabric::new(config.hierarchy.clone());
-        Self::with_fabric(config, fabric)
-    }
+impl Backend for Native {
+    type Machine = Process;
+    type Config = MmuConfig;
 
-    /// Builds an MMU whose core attaches to an **existing** shared fabric —
-    /// one core of an SMP machine. `config.hierarchy` is ignored (the
-    /// fabric was already built from the machine-wide hierarchy config).
-    #[must_use]
-    pub fn with_fabric(config: MmuConfig, fabric: asap_cache::SharedFabric) -> Self {
+    fn build(config: MmuConfig) -> (CoreConfig, Self) {
         let MmuConfig {
             l1_tlb,
             l2_tlb,
             pwc,
-            hierarchy: _,
+            hierarchy,
             asap,
             range_registers,
             clustered_tlb,
             seed: _,
         } = config;
-        Self {
-            core: EngineCore::with_fabric(l1_tlb, l2_tlb, fabric),
+        let native = Self {
+            asap,
             pwc: PageWalkCaches::new(pwc),
             clustered: clustered_tlb.map(ClusteredTlb::new),
             range_regs: RangeRegisterFile::new(range_registers),
-            asap,
-            served: ServedByMatrix::new(),
-        }
+        };
+        let parts = CoreConfig {
+            l1_tlb,
+            l2_tlb,
+            hierarchy,
+        };
+        (parts, native)
     }
 
     /// Loads the OS-provided VMA descriptors (context switch, §3.4).
-    pub fn load_context(&mut self, descriptors: &[asap_os::VmaDescriptor]) {
-        self.range_regs.load_context(descriptors);
+    fn load_context(&mut self, machine: &Process) {
+        self.range_regs.load_context(machine.vma_descriptors());
     }
 
+    fn translate_miss(
+        &mut self,
+        core: &mut EngineCore,
+        machine: &mut Process,
+        asid: Asid,
+        va: VirtAddr,
+    ) -> EngineOutcome {
+        let cluster = self
+            .clustered
+            .is_some()
+            .then_some(&*machine as &dyn ClusterSource);
+        self.miss(core, machine.flat_mirror(), asid, va, cluster)
+            .into()
+    }
+
+    /// Path-local unless a clustered TLB is configured: its fill reads the
+    /// PTE line around the address, which later faults change.
+    fn translation_is_path_local(&self) -> bool {
+        self.clustered.is_none()
+    }
+
+    fn reset_stats(&mut self) {
+        self.pwc.reset_stats();
+        self.range_regs.reset_stats();
+        if let Some(ct) = &mut self.clustered {
+            ct.reset_stats();
+        }
+    }
+}
+
+impl Native {
+    /// The S-TLB-miss path: a clustered-TLB probe, then the ASAP
+    /// prefetches and the (possibly PWC-shortened) walk of Fig. 4b, and
+    /// the fills.
+    fn miss<S: WalkSource + ?Sized>(
+        &mut self,
+        core: &mut EngineCore,
+        src: &S,
+        asid: Asid,
+        va: VirtAddr,
+        cluster: Option<&dyn ClusterSource>,
+    ) -> AccessOutcome {
+        let vpn = va.page_number();
+        if let Some(frame) = self.clustered.as_mut().and_then(|ct| ct.lookup(asid, vpn)) {
+            let entry = TlbEntry::new(frame, PageSize::Size4K);
+            core.tlbs.fill(asid, vpn, entry);
+            core.charge_tlb_hit(3, crate::L2_TLB_HIT_CYCLES);
+            return AccessOutcome {
+                path: TranslationPath::ClusteredTlb,
+                latency: crate::L2_TLB_HIT_CYCLES,
+                phys: Some(entry.phys_addr(va)),
+                walk: None,
+            };
+        }
+
+        // ASAP: range-register check in parallel with walker activation; on
+        // a hit, prefetches launch immediately (concurrently with the
+        // walker's first access).
+        let mut prefetches_issued = 0u8;
+        let mut prefetches_dropped = 0u8;
+        if self.asap.is_enabled() {
+            if let Some(desc) = self.range_regs.lookup(va).copied() {
+                let t0 = core.now();
+                core.issue_prefetches(
+                    &desc,
+                    &self.asap.levels,
+                    va,
+                    t0,
+                    &mut prefetches_issued,
+                    &mut prefetches_dropped,
+                );
+            }
+        }
+        let walk = core.walk_1d(&mut self.pwc, src, asid, va);
+        if let Some(tr) = walk.translation {
+            core.tlbs.fill(asid, vpn, TlbEntry::new(tr.frame, tr.size));
+            if tr.size == PageSize::Size4K {
+                if let (Some(ct), Some(source)) = (&mut self.clustered, cluster) {
+                    ct.fill_cluster(asid, vpn, &source.cluster_frames(va));
+                }
+            }
+        }
+        AccessOutcome {
+            path: TranslationPath::Walk,
+            latency: walk.latency,
+            phys: walk.translation.map(|t| t.phys_addr(va)),
+            walk: Some(WalkReport {
+                latency: walk.latency,
+                sources: walk.sources,
+                prefetches_issued,
+                prefetches_dropped,
+                fault: walk.translation.is_none(),
+            }),
+        }
+    }
+}
+
+impl Mmu {
     /// Translates `va`, simulating the full machine: TLB lookups, the ASAP
     /// prefetches, the (possibly PWC-shortened) page walk over the cache
-    /// hierarchy, and all fills. Advances the hierarchy clock by the
-    /// translation latency.
+    /// hierarchy, and all fills. Advances the core clock by the
+    /// translation latency. The driver's
+    /// [`translate_access`](crate::TranslationEngine::translate_access)
+    /// takes the same path with the walk details dropped.
     ///
     /// `src` is the page table the walker reads: the process's
     /// [`asap_pt::FlatMirror`], or any other [`WalkSource`]. `cluster`
@@ -183,297 +215,24 @@ impl Mmu {
         va: VirtAddr,
         cluster: Option<&dyn ClusterSource>,
     ) -> AccessOutcome {
-        let vpn = va.page_number();
-        if let Some((level, latency, entry)) = self.core.tlb_lookup(asid, vpn) {
-            let path = match level {
-                TlbLevel::L1 => TranslationPath::TlbL1,
-                TlbLevel::L2 => TranslationPath::TlbL2,
-            };
-            return AccessOutcome {
-                path,
-                latency,
-                phys: Some(entry.phys_addr(va)),
+        match self.core.tlb_lookup(asid, va) {
+            Some(hit) => AccessOutcome {
+                path: hit.path,
+                latency: hit.latency,
+                phys: hit.phys,
                 walk: None,
-            };
-        }
-        if let Some(ct) = &mut self.clustered {
-            if let Some(frame) = ct.lookup(asid, vpn) {
-                let entry = TlbEntry::new(frame, PageSize::Size4K);
-                self.core.tlbs.fill(asid, vpn, entry);
-                self.core.advance(crate::L2_TLB_HIT_CYCLES);
-                let now = self.core.now();
-                if let Some(t) = self.core.tracer_mut() {
-                    t.record(now, asap_telemetry::TraceEventKind::TlbHit { level: 3 });
-                }
-                return AccessOutcome {
-                    path: TranslationPath::ClusteredTlb,
-                    latency: crate::L2_TLB_HIT_CYCLES,
-                    phys: Some(entry.phys_addr(va)),
-                    walk: None,
-                };
-            }
-        }
-        let (report, translation) = self.walk(src, asid, va, cluster);
-        let latency = report.latency;
-        // The walk trace already carries the ground-truth translation — no
-        // second table descent needed.
-        let phys = translation.map(|t| t.phys_addr(va));
-        AccessOutcome {
-            path: TranslationPath::Walk,
-            latency,
-            phys,
-            walk: Some(report),
-        }
-    }
-
-    /// The TLB-miss path: prefetch issue + walk timeline (Fig. 4b).
-    fn walk<S: WalkSource + ?Sized>(
-        &mut self,
-        src: &S,
-        asid: Asid,
-        va: VirtAddr,
-        cluster: Option<&dyn ClusterSource>,
-    ) -> (WalkReport, Option<Translation>) {
-        let t0 = self.core.now();
-
-        // ASAP: range-register check in parallel with walker activation; on
-        // a hit, prefetches launch immediately (concurrently with the
-        // walker's first access).
-        let mut prefetches_issued = 0u8;
-        let mut prefetches_dropped = 0u8;
-        if self.asap.is_enabled() {
-            if let Some(desc) = self.range_regs.lookup(va).copied() {
-                self.core.issue_prefetches(
-                    &desc,
-                    &self.asap.levels,
-                    va,
-                    t0,
-                    &mut prefetches_issued,
-                    &mut prefetches_dropped,
-                );
-            }
-        }
-
-        // The walker starts with a PWC probe; the deepest hit decides where
-        // the radix-tree traversal resumes.
-        let pwc_hit = self.pwc.lookup(asid, va);
-        let start_level = pwc_hit.map_or(src.mode().root_level(), |h| h.next_level);
-
-        // Ground truth: the full node trace. The timing model below elides
-        // the PWC-covered prefix and charges the hierarchy for the rest,
-        // merging with in-flight prefetches where they overlap.
-        let trace = src.walk_fixed(va);
-        let mut sources = WalkSources::new();
-        let mut t = t0 + self.pwc.latency();
-        for step in trace.steps() {
-            if step.level.depth() > start_level.depth() {
-                sources.push(step.level, ServedSource::Pwc);
-                self.served.record(step.level, ServedSource::Pwc);
-                continue;
-            }
-            let served = self.core.walk_access(step.entry_addr.cache_line(), &mut t);
-            sources.push(step.level, served);
-            self.served.record(step.level, served);
-        }
-        let latency = self.core.finish_walk(t0, t);
-
-        // Fills: PWC entries for intermediate levels, TLB (and clustered
-        // TLB) for the leaf. Only a completed walk installs translations —
-        // prefetched data is never consumed architecturally (§3.1).
-        for step in trace.steps() {
-            if step.level != PtLevel::Pl1 && step.entry.is_present() && !step.entry.is_large_leaf()
-            {
-                self.pwc.fill(asid, va, step.level, step.entry.frame());
-            }
-        }
-        let fault = trace.is_fault();
-        let translation = trace.translation();
-        if let Some(tr) = translation {
-            self.core
-                .tlbs
-                .fill(asid, vpn_of(va), TlbEntry::new(tr.frame, tr.size));
-            if tr.size == PageSize::Size4K {
-                if let (Some(ct), Some(source)) = (&mut self.clustered, cluster) {
-                    ct.fill_cluster(asid, vpn_of(va), &source.cluster_frames(va));
-                }
-            }
-        } else {
-            self.core.walk_faults += 1;
-        }
-        (
-            WalkReport {
-                latency,
-                sources,
-                prefetches_issued,
-                prefetches_dropped,
-                fault,
             },
-            translation,
-        )
-    }
-
-    /// A demand data access (the application's own load/store reaching the
-    /// cache hierarchy); advances the clock.
-    pub fn data_access(&mut self, pa: PhysAddr) -> asap_cache::AccessResult {
-        self.core.data_access(pa)
-    }
-
-    /// Cache pressure from the SMT co-runner: perturbs cache contents
-    /// without consuming this thread's cycles (the co-runner executes on
-    /// the sibling hardware thread, §4).
-    pub fn corunner_access(&mut self, line: CacheLineAddr) {
-        self.core.corunner_access(line);
-    }
-
-    /// Walk-latency statistics (Fig. 3/8 metric).
-    #[must_use]
-    pub fn walk_stats(&self) -> &crate::WalkLatencyStats {
-        &self.core.walk_stats
-    }
-
-    /// The served-by matrix (Fig. 9 data).
-    #[must_use]
-    pub fn served_matrix(&self) -> &ServedByMatrix {
-        &self.served
-    }
-
-    /// L1 TLB statistics.
-    #[must_use]
-    pub fn l1_tlb_stats(&self) -> &TlbStats {
-        self.core.tlbs.l1_stats()
-    }
-
-    /// L2 TLB statistics (MPKI source for Table 7).
-    #[must_use]
-    pub fn l2_tlb_stats(&self) -> &TlbStats {
-        self.core.tlbs.l2_stats()
-    }
-
-    /// Clustered-TLB statistics when configured.
-    #[must_use]
-    pub fn clustered_stats(&self) -> Option<&TlbStats> {
-        self.clustered.as_ref().map(ClusteredTlb::stats)
-    }
-
-    /// Cache-hierarchy statistics (fabric-wide: shared across the cores of
-    /// an SMP machine).
-    #[must_use]
-    pub fn hierarchy_stats(&self) -> HierarchyStats {
-        self.core.hierarchy_stats()
-    }
-
-    /// Walks that ended in a fault.
-    #[must_use]
-    pub fn walk_faults(&self) -> u64 {
-        self.core.walk_faults
-    }
-
-    /// The current cycle count.
-    #[must_use]
-    pub fn now(&self) -> u64 {
-        self.core.now()
-    }
-
-    /// Advances the clock (non-memory work between accesses).
-    pub fn advance(&mut self, cycles: u64) {
-        self.core.advance(cycles);
-    }
-
-    /// Resets all statistics, keeping state warm (post-warmup).
-    pub fn reset_stats(&mut self) {
-        self.core.reset_stats();
-        self.served = ServedByMatrix::new();
-        self.pwc.reset_stats();
-        self.range_regs.reset_stats();
-        if let Some(ct) = &mut self.clustered {
-            ct.reset_stats();
+            None => self.backend.miss(&mut self.core, src, asid, va, cluster),
         }
     }
-}
-
-impl TranslationEngine for Mmu {
-    type Machine = Process;
-
-    fn load_context(&mut self, machine: &Process) {
-        Mmu::load_context(self, machine.vma_descriptors());
-    }
-
-    fn translate_access(&mut self, machine: &mut Process, va: VirtAddr) -> EngineOutcome {
-        let cluster = self
-            .clustered
-            .is_some()
-            .then_some(&*machine as &dyn ClusterSource);
-        let out = self.translate(machine.flat_mirror(), machine.asid(), va, cluster);
-        EngineOutcome {
-            path: out.path,
-            latency: out.latency,
-            phys: out.phys,
-            prefetches_issued: out.walk.as_ref().map_or(0, |w| w.prefetches_issued),
-            prefetches_dropped: out.walk.as_ref().map_or(0, |w| w.prefetches_dropped),
-        }
-    }
-
-    fn data_access(&mut self, pa: PhysAddr) -> asap_cache::AccessResult {
-        Mmu::data_access(self, pa)
-    }
-
-    fn corunner_access(&mut self, line: CacheLineAddr) {
-        Mmu::corunner_access(self, line);
-    }
-
-    fn now(&self) -> u64 {
-        Mmu::now(self)
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        Mmu::advance(self, cycles);
-    }
-
-    fn reset_stats(&mut self) {
-        Mmu::reset_stats(self);
-    }
-
-    fn stats_snapshot(&self) -> EngineStats {
-        EngineStats {
-            walks: self.core.walk_stats.clone(),
-            served: self.served,
-            host_served: None,
-            l2_tlb: *self.core.tlbs.l2_stats(),
-            walk_faults: self.core.walk_faults,
-        }
-    }
-
-    fn set_tracer(&mut self, sink: asap_telemetry::TraceSink) {
-        self.core.set_tracer(sink);
-    }
-
-    fn take_tracer(&mut self) -> Option<asap_telemetry::TraceSink> {
-        self.core.take_tracer()
-    }
-
-    /// Path-local unless a clustered TLB is configured: its fill reads the
-    /// PTE line around the address, which later faults change.
-    fn translation_is_path_local(&self) -> bool {
-        self.clustered.is_none()
-    }
-
-    fn collect_metrics(&self, prefix: &str, out: &mut asap_telemetry::MetricSet) {
-        use asap_telemetry::Collect;
-        self.stats_snapshot().collect(prefix, out);
-        self.core.collect_fabric_metrics(prefix, out);
-    }
-}
-
-fn vpn_of(va: VirtAddr) -> asap_types::VirtPageNum {
-    va.page_number()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AsapHwConfig;
-    use asap_os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
-    use asap_types::{Asid, ByteSize};
+    use crate::{ServedSource, TranslationEngine};
+    use asap_os::{AsapOsConfig, ProcessConfig, VmaKind};
+    use asap_types::{ByteSize, CacheLineAddr, PtLevel};
 
     fn process(asap: AsapOsConfig) -> Process {
         Process::new(
@@ -502,7 +261,7 @@ mod tests {
         let second = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         assert_eq!(second.path, TranslationPath::TlbL1);
         assert_eq!(second.latency, 0);
-        assert_eq!(mmu.walk_stats().count(), 1);
+        assert_eq!(mmu.stats_snapshot().walks.count(), 1);
     }
 
     #[test]
@@ -555,7 +314,7 @@ mod tests {
             .walk
             .unwrap();
         let mut asap_mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-        asap_mmu.load_context(p.vma_descriptors());
+        asap_mmu.load_context(&p);
         let asap = asap_mmu
             .translate(p.flat_mirror(), p.asid(), va, None)
             .walk
@@ -592,7 +351,7 @@ mod tests {
         p.touch(a).unwrap();
         p.touch(b).unwrap();
         let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-        mmu.load_context(p.vma_descriptors());
+        mmu.load_context(&p);
         let _ = mmu.translate(p.flat_mirror(), p.asid(), a, None);
         let out = mmu.translate(p.flat_mirror(), p.asid(), b, None);
         let walk = out.walk.unwrap();
@@ -635,7 +394,7 @@ mod tests {
         }
         let mut base_mmu = Mmu::new(MmuConfig::default());
         let mut asap_mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-        asap_mmu.load_context(p.vma_descriptors());
+        asap_mmu.load_context(&p);
         for va in &vas {
             let b = base_mmu.translate(p.flat_mirror(), p.asid(), *va, None);
             let a = asap_mmu.translate(p.flat_mirror(), p.asid(), *va, None);
@@ -669,7 +428,7 @@ mod tests {
             second.phys,
             p.translate(vas[5]).map(|t| t.phys_addr(vas[5]))
         );
-        assert_eq!(mmu.walk_stats().count(), 1);
+        assert_eq!(mmu.stats_snapshot().walks.count(), 1);
     }
 
     #[test]
@@ -680,7 +439,7 @@ mod tests {
         let out = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         assert_eq!(out.phys, None);
         assert!(out.walk.unwrap().fault);
-        assert_eq!(mmu.walk_faults(), 1);
+        assert_eq!(mmu.stats_snapshot().walk_faults, 1);
     }
 
     #[test]
@@ -701,8 +460,8 @@ mod tests {
         let mut mmu = Mmu::new(MmuConfig::default());
         let _ = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         mmu.reset_stats();
-        assert_eq!(mmu.walk_stats().count(), 0);
-        assert_eq!(mmu.l2_tlb_stats().accesses(), 0);
+        assert_eq!(mmu.stats_snapshot().walks.count(), 0);
+        assert_eq!(mmu.stats_snapshot().l2_tlb.accesses(), 0);
         // Contents stay warm: the next access is still a TLB hit.
         let out = mmu.translate(p.flat_mirror(), p.asid(), va, None);
         assert_eq!(out.path, TranslationPath::TlbL1);
@@ -720,7 +479,7 @@ mod tests {
             p2.touch(*va).unwrap();
         }
         let mut inherent = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-        inherent.load_context(p1.vma_descriptors());
+        inherent.load_context(&p1);
         let mut engine = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
         TranslationEngine::load_context(&mut engine, &p2);
         for va in &vas {
@@ -731,7 +490,7 @@ mod tests {
             assert_eq!(a.phys, b.phys);
         }
         let snap = engine.stats_snapshot();
-        assert_eq!(snap.walks, *inherent.walk_stats());
+        assert_eq!(snap.walks, inherent.stats_snapshot().walks);
         assert_eq!(snap.walk_faults, 0);
         assert!(snap.host_served.is_none());
     }

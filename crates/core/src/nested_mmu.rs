@@ -1,26 +1,15 @@
 //! The virtualized MMU: 2D walks with per-dimension ASAP (Fig. 7).
 
-use crate::engine::{EngineCore, EngineOutcome, EngineStats, TranslationEngine, TranslationPath};
-use crate::{NestedAsapConfig, NestedMmuConfig, RangeRegisterFile, ServedByMatrix, ServedSource};
+use crate::engine::{Backend, CoreConfig, Engine, EngineCore, EngineOutcome, TranslationPath};
+use crate::{NestedAsapConfig, NestedMmuConfig, RangeRegisterFile, ServedSource};
 use asap_os::VmaDescriptor;
-use asap_tlb::{PageWalkCaches, TlbEntry, TlbLevel};
+use asap_tlb::{PageWalkCaches, TlbEntry};
 use asap_types::{Asid, PhysAddr, PtLevel, VirtAddr};
 use asap_virt::{Dim, NestedStep, NestedWalkTrace, VirtualMachine};
 
 /// ASID used to tag host-dimension structures (one VM per core in the
 /// evaluated scenarios).
 const HOST_ASID: Asid = Asid(u16::MAX);
-
-/// How a virtualized translation was resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NestedPath {
-    /// L1 TLB hit (gVA → hPA cached).
-    TlbL1,
-    /// L2 TLB hit.
-    TlbL2,
-    /// Full 2D walk.
-    Walk,
-}
 
 /// Details of one 2D walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,8 +29,8 @@ pub struct NestedWalkReport {
 /// Outcome of one virtualized translation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NestedAccessOutcome {
-    /// How it was served.
-    pub path: NestedPath,
+    /// How it was served: an L1/L2 TLB hit or a 2D walk.
+    pub path: TranslationPath,
     /// Translation latency in cycles.
     pub latency: u64,
     /// Final host-physical address (`None` on fault).
@@ -50,29 +39,41 @@ pub struct NestedAccessOutcome {
     pub walk: Option<NestedWalkReport>,
 }
 
-/// The virtualized translation machine: nested TLBs, one PWC per dimension,
-/// and ASAP range registers for both dimensions. The host dimension needs
-/// only a single descriptor because the whole guest is one host VMA (§3.6).
-/// The TLB fast path, hierarchy clock and walk accounting live in the
-/// shared `EngineCore`.
+impl From<NestedAccessOutcome> for EngineOutcome {
+    fn from(out: NestedAccessOutcome) -> Self {
+        Self {
+            path: out.path,
+            latency: out.latency,
+            phys: out.hpa,
+            prefetches_issued: out.walk.as_ref().map_or(0, |w| w.prefetches_issued),
+            prefetches_dropped: out.walk.as_ref().map_or(0, |w| w.prefetches_dropped),
+        }
+    }
+}
+
+/// The virtualized translation machine: nested TLBs (gVA → hPA), one PWC
+/// per dimension, and ASAP range registers for both dimensions.
+pub type NestedMmu = Engine<Nested>;
+
+/// The nested miss path. The host dimension needs only a single
+/// descriptor because the whole guest is one host VMA (§3.6).
 #[derive(Debug)]
-pub struct NestedMmu {
-    core: EngineCore,
+pub struct Nested {
     asap: NestedAsapConfig,
     gpwc: PageWalkCaches,
     hpwc: PageWalkCaches,
     guest_regs: RangeRegisterFile,
     host_desc: Option<VmaDescriptor>,
-    guest_served: ServedByMatrix,
-    host_served: ServedByMatrix,
     /// The 2D walk's step buffer, reused so a walk does not allocate.
     walk_steps: Vec<NestedStep>,
 }
 
-impl NestedMmu {
-    /// Builds the nested MMU from `config`.
-    #[must_use]
-    pub fn new(config: NestedMmuConfig) -> Self {
+impl Backend for Nested {
+    type Machine = VirtualMachine;
+    type Config = NestedMmuConfig;
+    const NESTED: bool = true;
+
+    fn build(config: NestedMmuConfig) -> (CoreConfig, Self) {
         let NestedMmuConfig {
             l1_tlb,
             l2_tlb,
@@ -83,22 +84,25 @@ impl NestedMmu {
             range_registers,
             seed: _,
         } = config;
-        Self {
-            core: EngineCore::new(l1_tlb, l2_tlb, hierarchy),
+        let nested = Self {
+            asap,
             gpwc: PageWalkCaches::new(guest_pwc),
             hpwc: PageWalkCaches::new(host_pwc),
             guest_regs: RangeRegisterFile::new(range_registers),
             host_desc: None,
-            asap,
-            guest_served: ServedByMatrix::new(),
-            host_served: ServedByMatrix::new(),
             walk_steps: Vec::new(),
-        }
+        };
+        let parts = CoreConfig {
+            l1_tlb,
+            l2_tlb,
+            hierarchy,
+        };
+        (parts, nested)
     }
 
     /// Loads both dimensions' range registers from the VM's OS/hypervisor
     /// state.
-    pub fn load_context(&mut self, vm: &VirtualMachine) {
+    fn load_context(&mut self, vm: &VirtualMachine) {
         self.guest_regs.load_context(vm.guest_descriptors());
         let pl1 = vm.host_region_base(PtLevel::Pl1);
         let pl2 = vm.host_region_base(PtLevel::Pl2);
@@ -115,27 +119,44 @@ impl NestedMmu {
         };
     }
 
-    /// Translates guest-virtual `va`, simulating the 2D walk of Fig. 7 with
-    /// the configured per-dimension prefetching.
-    pub fn translate(&mut self, vm: &mut VirtualMachine, va: VirtAddr) -> NestedAccessOutcome {
-        let asid = vm.guest().asid();
-        let vpn = va.page_number();
-        if let Some((level, latency, entry)) = self.core.tlb_lookup(asid, vpn) {
-            let path = match level {
-                TlbLevel::L1 => NestedPath::TlbL1,
-                TlbLevel::L2 => NestedPath::TlbL2,
-            };
-            return NestedAccessOutcome {
-                path,
-                latency,
-                hpa: Some(entry.phys_addr(va)),
-                walk: None,
-            };
-        }
+    fn translate_miss(
+        &mut self,
+        core: &mut EngineCore,
+        vm: &mut VirtualMachine,
+        asid: Asid,
+        va: VirtAddr,
+    ) -> EngineOutcome {
+        self.walk_2d(core, vm, asid, va).into()
+    }
+
+    /// The 2D walk reads only the guest and host paths of the address;
+    /// `VirtualMachine::touch` backs both in the EPT, so the walker's lazy
+    /// host fill never allocates for a demand-paged address.
+    fn translation_is_path_local(&self) -> bool {
+        true
+    }
+
+    fn reset_stats(&mut self) {
+        self.gpwc.reset_stats();
+        self.hpwc.reset_stats();
+        self.guest_regs.reset_stats();
+    }
+}
+
+impl Nested {
+    /// The 2D walk of Fig. 7 for guest-virtual `va`, with the configured
+    /// per-dimension prefetching, and the gVA → hPA TLB fill.
+    fn walk_2d(
+        &mut self,
+        core: &mut EngineCore,
+        vm: &mut VirtualMachine,
+        asid: Asid,
+        va: VirtAddr,
+    ) -> NestedAccessOutcome {
         let mut steps = std::mem::take(&mut self.walk_steps);
         let outcome = vm.nested_walk_into(va, &mut steps);
         let trace = NestedWalkTrace { va, steps, outcome };
-        let t0 = self.core.now();
+        let t0 = core.now();
         let mut issued = 0u8;
         let mut dropped = 0u8;
 
@@ -145,14 +166,7 @@ impl NestedMmu {
         // host-physical targets.
         if !self.asap.guest.is_empty() {
             if let Some(desc) = self.guest_regs.lookup(va).copied() {
-                self.core.issue_prefetches(
-                    &desc,
-                    &self.asap.guest,
-                    va,
-                    t0,
-                    &mut issued,
-                    &mut dropped,
-                );
+                core.issue_prefetches(&desc, &self.asap.guest, va, t0, &mut issued, &mut dropped);
             }
         }
 
@@ -177,7 +191,7 @@ impl NestedMmu {
             // Skip segments whose guest level the gPWC covered.
             if let Some(gl) = seg_guest_level {
                 if gl.depth() > g_start.depth() {
-                    self.guest_served.record(gl, ServedSource::Pwc);
+                    core.served.record(gl, ServedSource::Pwc);
                     continue;
                 }
             }
@@ -187,7 +201,7 @@ impl NestedMmu {
             let gpa_va = VirtAddr::new_unchecked(gpa.raw());
             if !self.asap.host.is_empty() {
                 if let Some(host_desc) = self.host_desc {
-                    self.core.issue_prefetches(
+                    core.issue_prefetches(
                         &host_desc,
                         &self.asap.host,
                         gpa_va,
@@ -205,14 +219,12 @@ impl NestedMmu {
                 match step.dim {
                     Dim::Host => {
                         if step.level.depth() > h_start.depth() {
-                            self.host_served.record(step.level, ServedSource::Pwc);
+                            core.host_served.record(step.level, ServedSource::Pwc);
                             continue;
                         }
-                        let src = self
-                            .core
-                            .walk_access(step.host_entry_addr.cache_line(), &mut t);
+                        let src = core.walk_access(step.host_entry_addr.cache_line(), &mut t);
                         accesses += 1;
-                        self.host_served.record(step.level, src);
+                        core.host_served.record(step.level, src);
                         // Fill the host PWC with intermediate entries.
                         if step.level != PtLevel::Pl1
                             && step.entry.is_present()
@@ -223,11 +235,9 @@ impl NestedMmu {
                         }
                     }
                     Dim::Guest => {
-                        let src = self
-                            .core
-                            .walk_access(step.host_entry_addr.cache_line(), &mut t);
+                        let src = core.walk_access(step.host_entry_addr.cache_line(), &mut t);
                         accesses += 1;
-                        self.guest_served.record(step.level, src);
+                        core.served.record(step.level, src);
                         // Fill the guest PWC with intermediate gPT entries.
                         if step.level != PtLevel::Pl1
                             && step.entry.is_present()
@@ -239,7 +249,7 @@ impl NestedMmu {
                 }
             }
         }
-        let latency = self.core.finish_walk(t0, t);
+        let latency = core.finish_walk(t0, t);
 
         let fault = !trace.is_mapped();
         let hpa = trace.data_hpa();
@@ -248,13 +258,13 @@ impl NestedMmu {
             // page base.
             let base = data_hpa.raw() & !(guest_t.size.bytes() - 1);
             let entry = TlbEntry::new(PhysAddr::new(base).frame_number(), guest_t.size);
-            self.core.tlbs.fill(asid, vpn, entry);
+            core.tlbs.fill(asid, va.page_number(), entry);
         } else {
-            self.core.walk_faults += 1;
+            core.walk_faults += 1;
         }
         self.walk_steps = trace.steps;
         NestedAccessOutcome {
-            path: NestedPath::Walk,
+            path: TranslationPath::Walk,
             latency,
             hpa,
             walk: Some(NestedWalkReport {
@@ -266,147 +276,31 @@ impl NestedMmu {
             }),
         }
     }
-
-    /// A demand data access in the guest (advances the clock).
-    pub fn data_access(&mut self, hpa: PhysAddr) -> asap_cache::AccessResult {
-        self.core.data_access(hpa)
-    }
-
-    /// Cache pressure from the SMT co-runner (does not consume cycles).
-    pub fn corunner_access(&mut self, line: asap_types::CacheLineAddr) {
-        self.core.corunner_access(line);
-    }
-
-    /// Walk-latency statistics (Fig. 10/12 metric).
-    #[must_use]
-    pub fn walk_stats(&self) -> &crate::WalkLatencyStats {
-        &self.core.walk_stats
-    }
-
-    /// Guest-dimension served-by matrix.
-    #[must_use]
-    pub fn guest_served_matrix(&self) -> &ServedByMatrix {
-        &self.guest_served
-    }
-
-    /// Host-dimension served-by matrix.
-    #[must_use]
-    pub fn host_served_matrix(&self) -> &ServedByMatrix {
-        &self.host_served
-    }
-
-    /// L2 TLB statistics.
-    #[must_use]
-    pub fn l2_tlb_stats(&self) -> &asap_tlb::TlbStats {
-        self.core.tlbs.l2_stats()
-    }
-
-    /// Walks that faulted.
-    #[must_use]
-    pub fn walk_faults(&self) -> u64 {
-        self.core.walk_faults
-    }
-
-    /// Current cycle count.
-    #[must_use]
-    pub fn now(&self) -> u64 {
-        self.core.now()
-    }
-
-    /// Advances the clock.
-    pub fn advance(&mut self, cycles: u64) {
-        self.core.advance(cycles);
-    }
-
-    /// Resets statistics, keeping state warm.
-    pub fn reset_stats(&mut self) {
-        self.core.reset_stats();
-        self.guest_served = ServedByMatrix::new();
-        self.host_served = ServedByMatrix::new();
-        self.gpwc.reset_stats();
-        self.hpwc.reset_stats();
-        self.guest_regs.reset_stats();
-    }
 }
 
-impl TranslationEngine for NestedMmu {
-    type Machine = VirtualMachine;
-
-    fn load_context(&mut self, machine: &VirtualMachine) {
-        NestedMmu::load_context(self, machine);
-    }
-
-    fn translate_access(&mut self, machine: &mut VirtualMachine, va: VirtAddr) -> EngineOutcome {
-        let out = self.translate(machine, va);
-        let path = match out.path {
-            NestedPath::TlbL1 => TranslationPath::TlbL1,
-            NestedPath::TlbL2 => TranslationPath::TlbL2,
-            NestedPath::Walk => TranslationPath::Walk,
-        };
-        EngineOutcome {
-            path,
-            latency: out.latency,
-            phys: out.hpa,
-            prefetches_issued: out.walk.as_ref().map_or(0, |w| w.prefetches_issued),
-            prefetches_dropped: out.walk.as_ref().map_or(0, |w| w.prefetches_dropped),
+impl NestedMmu {
+    /// Translates guest-virtual `va`: the TLB fast path, then the 2D walk
+    /// with its details. The driver's
+    /// [`translate_access`](crate::TranslationEngine::translate_access)
+    /// takes the same path with the walk details dropped.
+    pub fn translate(&mut self, vm: &mut VirtualMachine, va: VirtAddr) -> NestedAccessOutcome {
+        let asid = vm.guest().asid();
+        match self.core.tlb_lookup(asid, va) {
+            Some(hit) => NestedAccessOutcome {
+                path: hit.path,
+                latency: hit.latency,
+                hpa: hit.phys,
+                walk: None,
+            },
+            None => self.backend.walk_2d(&mut self.core, vm, asid, va),
         }
-    }
-
-    fn data_access(&mut self, pa: PhysAddr) -> asap_cache::AccessResult {
-        NestedMmu::data_access(self, pa)
-    }
-
-    fn corunner_access(&mut self, line: asap_types::CacheLineAddr) {
-        NestedMmu::corunner_access(self, line);
-    }
-
-    fn now(&self) -> u64 {
-        NestedMmu::now(self)
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        NestedMmu::advance(self, cycles);
-    }
-
-    fn reset_stats(&mut self) {
-        NestedMmu::reset_stats(self);
-    }
-
-    fn stats_snapshot(&self) -> EngineStats {
-        EngineStats {
-            walks: self.core.walk_stats.clone(),
-            served: self.guest_served,
-            host_served: Some(self.host_served),
-            l2_tlb: *self.core.tlbs.l2_stats(),
-            walk_faults: self.core.walk_faults,
-        }
-    }
-
-    /// The 2D walk reads only the guest and host paths of the address;
-    /// `VirtualMachine::touch` backs both in the EPT, so the walker's lazy
-    /// host fill never allocates for a demand-paged address.
-    fn translation_is_path_local(&self) -> bool {
-        true
-    }
-
-    fn set_tracer(&mut self, sink: asap_telemetry::TraceSink) {
-        self.core.set_tracer(sink);
-    }
-
-    fn take_tracer(&mut self) -> Option<asap_telemetry::TraceSink> {
-        self.core.take_tracer()
-    }
-
-    fn collect_metrics(&self, prefix: &str, out: &mut asap_telemetry::MetricSet) {
-        use asap_telemetry::Collect;
-        self.stats_snapshot().collect(prefix, out);
-        self.core.collect_fabric_metrics(prefix, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TranslationEngine;
     use asap_os::{AsapOsConfig, ProcessConfig, VmaKind};
     use asap_types::{Asid, ByteSize};
     use asap_virt::EptConfig;
@@ -437,7 +331,7 @@ mod tests {
         let mut mmu = NestedMmu::new(NestedMmuConfig::default());
         mmu.load_context(&vm);
         let first = mmu.translate(&mut vm, va);
-        assert_eq!(first.path, NestedPath::Walk);
+        assert_eq!(first.path, TranslationPath::Walk);
         let walk = first.walk.unwrap();
         // Up to 24 accesses (Fig. 7); the host PWC warms up *within* the
         // walk (the gPT node pages share upper host-PT levels), eliding a
@@ -452,7 +346,7 @@ mod tests {
         // upper host-PT nodes).
         assert!(walk.latency >= 10 * 191, "latency = {}", walk.latency);
         let second = mmu.translate(&mut vm, va);
-        assert_eq!(second.path, NestedPath::TlbL1);
+        assert_eq!(second.path, TranslationPath::TlbL1);
         assert_eq!(second.hpa, first.hpa);
     }
 

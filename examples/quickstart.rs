@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use asap::core::{AsapHwConfig, Mmu, MmuConfig};
+use asap::core::{AsapHwConfig, Mmu, MmuConfig, TranslationEngine};
 use asap::os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
 use asap::types::{Asid, ByteSize, VirtAddr};
 
@@ -37,7 +37,7 @@ fn main() {
     // Two identical machines, one with ASAP prefetching.
     let mut baseline = Mmu::new(MmuConfig::default());
     let mut asap = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-    asap.load_context(process.vma_descriptors());
+    asap.load_context(&process);
 
     for (name, mmu) in [("baseline", &mut baseline), ("ASAP P1+P2", &mut asap)] {
         // The walker reads the process's page table, a flat arena of nodes

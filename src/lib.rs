@@ -29,7 +29,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use asap::core::{AsapHwConfig, Mmu, MmuConfig};
+//! use asap::core::{AsapHwConfig, Mmu, MmuConfig, TranslationEngine};
 //! use asap::os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
 //! use asap::types::{Asid, ByteSize};
 //!
@@ -42,7 +42,7 @@
 //!
 //! // An ASAP-enabled MMU: range registers + prefetch on TLB miss.
 //! let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-//! mmu.load_context(process.vma_descriptors());
+//! mmu.load_context(&process);
 //! let out = mmu.translate(process.flat_mirror(), process.asid(), va, None);
 //! assert!(out.phys.is_some());
 //! ```

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the full machine, end to end.
 
-use asap::core::{AsapHwConfig, Mmu, MmuConfig, NestedAsapConfig, TranslationPath};
+use asap::core::{
+    AsapHwConfig, Mmu, MmuConfig, NestedAsapConfig, TranslationEngine, TranslationPath,
+};
 use asap::os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
 use asap::sim::{RunSpec, SimConfig};
 use asap::types::{Asid, ByteSize, VirtAddr};
@@ -140,7 +142,7 @@ fn asap_is_architecturally_invisible_even_with_holes() {
 
     let mut baseline = Mmu::new(MmuConfig::default());
     let mut asap = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-    asap.load_context(p.vma_descriptors());
+    asap.load_context(&p);
     for va in &vas {
         let b = baseline.translate(p.flat_mirror(), p.asid(), *va, None);
         let a = asap.translate(p.flat_mirror(), p.asid(), *va, None);
@@ -201,7 +203,7 @@ fn facade_quickstart_flow() {
     let va = p.vma_of_kind(VmaKind::Heap).unwrap().start();
     p.touch(va).unwrap();
     let mut mmu = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1()));
-    mmu.load_context(p.vma_descriptors());
+    mmu.load_context(&p);
     let first = mmu.translate(p.flat_mirror(), p.asid(), va, None);
     assert_eq!(first.path, TranslationPath::Walk);
     let second = mmu.translate(p.flat_mirror(), p.asid(), va, None);

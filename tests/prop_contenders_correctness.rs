@@ -117,7 +117,7 @@ proptest! {
         for va in &vas {
             let _ = mmu.translate_access(&mut p, *va);
         }
-        let s = *mmu.revelator_stats();
+        let s = *mmu.backend().stats();
         prop_assert_eq!(
             s.verified_correct + s.mispredicted,
             s.speculations_issued + s.speculations_dropped,

@@ -11,7 +11,7 @@
 //! tables are compared with an oracle rebuilt from their translations in
 //! their own node frames ([`radix_of`]).
 
-use asap::core::{AsapHwConfig, Mmu, MmuConfig};
+use asap::core::{AsapHwConfig, Mmu, MmuConfig, TranslationEngine};
 use asap::os::{AsapOsConfig, Process, ProcessConfig, VmaKind};
 use asap::pt::{BumpNodeAllocator, FlatMirror, PtCensus, PtNodeAllocator, PteFlags, WalkSource};
 use asap::types::{Asid, ByteSize, PageSize, PagingMode, PhysFrameNum, PtLevel, VirtAddr};
@@ -490,7 +490,7 @@ fn mmu_walks_radix_and_flat_alike() {
     let radix = RadixSource { mem: &mem, pt: &pt };
     let mmu = || {
         let mut m = Mmu::new(MmuConfig::default().with_asap(AsapHwConfig::p1_p2()));
-        m.load_context(p.vma_descriptors());
+        m.load_context(&p);
         m
     };
     let (mut on_radix, mut on_flat) = (mmu(), mmu());
