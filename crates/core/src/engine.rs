@@ -592,12 +592,6 @@ impl EngineCore {
         }
     }
 
-    /// The installed tracer, for miss paths recording backend-specific
-    /// events.
-    pub fn tracer_mut(&mut self) -> Option<&mut TraceSink> {
-        self.tracer.as_deref_mut()
-    }
-
     /// The core's handle to the shared memory fabric.
     #[must_use]
     pub fn fabric(&self) -> &SharedFabric {

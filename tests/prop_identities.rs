@@ -20,7 +20,8 @@ fn run(spec: RunSpec) -> RunResult {
     let label = spec.label();
     spec.with_sim(sim)
         .run()
-        .unwrap_or_else(|e| panic!("{label}: {e}"))
+        .map_err(|e| format!("{label}: {e}"))
+        .unwrap()
 }
 
 /// Runs `check` on every paper workload.

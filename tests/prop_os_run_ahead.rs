@@ -212,8 +212,9 @@ fn run_native<E: TranslationEngine<Machine = Process>>(
     }
 }
 
-/// Builds one virtual machine per core, each with its own nested MMU
-/// (`NestedMmu` has no shared-fabric constructor), and drives them.
+/// Builds one virtual machine per core, each with its own nested MMU over
+/// a private fabric (virtualized machines are single-core), and drives
+/// them.
 fn run_nested(case: &Case, coupled: bool) -> Result<Vec<RunResult>, DriverError> {
     let asap = NestedAsapConfig::p1g_p1h();
     let machines: Vec<VirtualMachine> = (0..case.cores)
