@@ -205,6 +205,9 @@ for seed in 42 9001; do
     done
 done
 run cargo test -q
+# Clippy only type-checks the criterion benches; running each once at the
+# shim's reduced budget makes a bench that panics fail here.
+run env CRITERION_QUICK=1 cargo bench -q -p asap-bench
 # Doc warnings (a broken intra-doc link, an output filename collision)
 # fail here rather than accumulate.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet

@@ -3,31 +3,14 @@
 /// Errors from physical-memory allocators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocError {
-    /// No block of the requested order (or larger) is free.
-    OutOfMemory {
-        /// The order that was requested.
-        order: u32,
-    },
-    /// A free was attempted on a block that is not currently allocated
-    /// (double free or wild pointer).
-    NotAllocated,
-    /// The request exceeds the allocator's maximum supported order.
-    OrderTooLarge {
-        /// The order that was requested.
-        order: u32,
-    },
+    /// No free frame is left.
+    OutOfMemory,
 }
 
 impl core::fmt::Display for AllocError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            AllocError::OutOfMemory { order } => {
-                write!(f, "out of memory for order-{order} allocation")
-            }
-            AllocError::NotAllocated => f.write_str("block is not currently allocated"),
-            AllocError::OrderTooLarge { order } => {
-                write!(f, "order {order} exceeds the allocator maximum")
-            }
+            AllocError::OutOfMemory => f.write_str("out of physical frames"),
         }
     }
 }
@@ -40,14 +23,8 @@ mod tests {
 
     #[test]
     fn display() {
-        assert!(AllocError::OutOfMemory { order: 3 }
+        assert!(AllocError::OutOfMemory
             .to_string()
-            .contains("order-3"));
-        assert!(AllocError::NotAllocated
-            .to_string()
-            .contains("not currently"));
-        assert!(AllocError::OrderTooLarge { order: 20 }
-            .to_string()
-            .contains("20"));
+            .contains("out of physical frames"));
     }
 }

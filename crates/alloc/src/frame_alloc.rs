@@ -1,6 +1,6 @@
 //! The frame-allocator interface shared by OS-level consumers.
 
-use crate::{AllocError, BuddyAllocator};
+use crate::AllocError;
 use asap_types::PhysFrameNum;
 
 /// A source of single 4 KiB physical frames (data pages, baseline PT pages).
@@ -11,81 +11,4 @@ pub trait FrameAllocator {
     ///
     /// Returns [`AllocError::OutOfMemory`] when exhausted.
     fn alloc_frame(&mut self) -> Result<PhysFrameNum, AllocError>;
-
-    /// Returns a frame to the allocator. The default implementation leaks,
-    /// which suits short-lived simulations.
-    fn free_frame(&mut self, frame: PhysFrameNum) {
-        let _ = frame;
-    }
-}
-
-impl FrameAllocator for BuddyAllocator {
-    fn alloc_frame(&mut self) -> Result<PhysFrameNum, AllocError> {
-        self.alloc(0)
-    }
-
-    fn free_frame(&mut self, frame: PhysFrameNum) {
-        self.free(frame, 0);
-    }
-}
-
-/// A monotone bump allocator: maximally contiguous, never frees.
-///
-/// Useful as the "fully contiguous" end of the scatter-policy ablation and
-/// in unit tests.
-#[derive(Debug, Clone)]
-pub struct BumpFrameAllocator {
-    next: u64,
-    limit: u64,
-}
-
-impl BumpFrameAllocator {
-    /// Creates an allocator handing out `[start, start + num_frames)`.
-    #[must_use]
-    pub fn new(start: PhysFrameNum, num_frames: u64) -> Self {
-        Self {
-            next: start.raw(),
-            limit: start.raw() + num_frames,
-        }
-    }
-
-    /// Frames still available.
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.limit - self.next
-    }
-}
-
-impl FrameAllocator for BumpFrameAllocator {
-    fn alloc_frame(&mut self) -> Result<PhysFrameNum, AllocError> {
-        if self.next >= self.limit {
-            return Err(AllocError::OutOfMemory { order: 0 });
-        }
-        let f = PhysFrameNum::new(self.next);
-        self.next += 1;
-        Ok(f)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bump_is_contiguous() {
-        let mut a = BumpFrameAllocator::new(PhysFrameNum::new(10), 3);
-        assert_eq!(a.alloc_frame().unwrap().raw(), 10);
-        assert_eq!(a.alloc_frame().unwrap().raw(), 11);
-        assert_eq!(a.remaining(), 1);
-        assert_eq!(a.alloc_frame().unwrap().raw(), 12);
-        assert!(a.alloc_frame().is_err());
-    }
-
-    #[test]
-    fn buddy_implements_frame_allocator() {
-        let mut b = BuddyAllocator::new(PhysFrameNum::new(0), 16);
-        let f = FrameAllocator::alloc_frame(&mut b).unwrap();
-        FrameAllocator::free_frame(&mut b, f);
-        assert_eq!(b.free_frames(), 16);
-    }
 }

@@ -1,4 +1,5 @@
-//! Physical-memory allocation substrates for the ASAP reproduction.
+//! Physical-memory allocation for the ASAP reproduction: the scatter
+//! allocator and contiguous PT reservations.
 //!
 //! The paper's mechanism hinges on *where* page-table pages land in physical
 //! memory:
@@ -6,8 +7,6 @@
 //! * Baseline Linux scatters PT pages via the buddy allocator, leaving "a
 //!   complete lack of correspondence between the order of virtual pages
 //!   within a VMA and the physical pages containing PT nodes" (§3.3).
-//!   [`BuddyAllocator`] is a faithful binary-buddy implementation (orders
-//!   0..=10, split and coalesce, lowest-address-first like Linux), and
 //!   [`ScatterAllocator`] reproduces the *statistical* layout the paper
 //!   measured (Table 2's contiguous-region counts) and itself adopted for
 //!   its host-side methodology ("mimicking the Linux buddy allocator's
@@ -21,29 +20,25 @@
 //! # Examples
 //!
 //! ```
-//! use asap_alloc::{BuddyAllocator, FrameAllocator};
-//! use asap_types::PhysFrameNum;
+//! use asap_alloc::{FrameAllocator, ScatterAllocator, ScatterConfig};
 //!
-//! let mut buddy = BuddyAllocator::new(PhysFrameNum::new(0), 1 << 20);
-//! let a = buddy.alloc(0).unwrap();
-//! let b = buddy.alloc(0).unwrap();
+//! // memcached-80GB's Table 2 row: 45878 PT pages in 1976 regions.
+//! let config = ScatterConfig::from_table2(45878, 1976, 1 << 24, 7);
+//! let mut pt_pool = ScatterAllocator::new(config);
+//! let a = pt_pool.alloc_frame().unwrap();
+//! let b = pt_pool.alloc_frame().unwrap();
 //! assert_ne!(a, b);
-//! buddy.free(a, 0);
-//! buddy.free(b, 0);
-//! assert_eq!(buddy.free_frames(), 1 << 20);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buddy;
 mod error;
 mod frame_alloc;
 mod region;
 mod scatter;
 
-pub use buddy::{BuddyAllocator, MAX_ORDER};
 pub use error::AllocError;
-pub use frame_alloc::{BumpFrameAllocator, FrameAllocator};
+pub use frame_alloc::FrameAllocator;
 pub use region::{ContiguousReservation, RegionExtendOutcome};
 pub use scatter::{ScatterAllocator, ScatterConfig};

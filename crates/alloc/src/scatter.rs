@@ -23,8 +23,7 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScatterConfig {
     /// Mean contiguous run length in frames (≥ 1.0). `1.0` degenerates to
-    /// fully random placement; `f64::INFINITY` is not supported — use
-    /// [`crate::BumpFrameAllocator`] for fully contiguous layouts.
+    /// fully random placement; `f64::INFINITY` is not supported.
     pub mean_run_len: f64,
     /// Size of the physical space runs are scattered over, in frames.
     pub phys_frames: u64,
@@ -122,7 +121,7 @@ impl ScatterAllocator {
 
     fn start_new_run(&mut self) -> Result<(), AllocError> {
         if self.allocated >= self.config.phys_frames {
-            return Err(AllocError::OutOfMemory { order: 0 });
+            return Err(AllocError::OutOfMemory);
         }
         let len = self.sample_run_len();
         // Rejection-sample a start position whose first frame is unused.
@@ -142,7 +141,7 @@ impl ScatterAllocator {
                 return Ok(());
             }
         }
-        Err(AllocError::OutOfMemory { order: 0 })
+        Err(AllocError::OutOfMemory)
     }
 }
 
@@ -251,7 +250,7 @@ mod tests {
             got.insert(a.alloc_frame().unwrap().raw());
         }
         assert_eq!(got.len(), 64);
-        assert_eq!(a.alloc_frame(), Err(AllocError::OutOfMemory { order: 0 }));
+        assert_eq!(a.alloc_frame(), Err(AllocError::OutOfMemory));
     }
 
     #[test]

@@ -1,75 +1,12 @@
-//! Property tests: buddy-allocator and scatter invariants.
+//! Property tests: scatter-allocator and reservation invariants.
 
-use asap_alloc::{
-    BuddyAllocator, ContiguousReservation, FrameAllocator, ScatterAllocator, ScatterConfig,
-    MAX_ORDER,
-};
+use asap_alloc::{ContiguousReservation, FrameAllocator, ScatterAllocator, ScatterConfig};
 use asap_types::PhysFrameNum;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// A randomized alloc/free script against the buddy allocator.
-#[derive(Debug, Clone)]
-enum Op {
-    Alloc(u32),
-    FreeNth(usize),
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0u32..=6).prop_map(Op::Alloc),
-            (0usize..64).prop_map(Op::FreeNth),
-        ],
-        1..200,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// No two live buddy allocations ever overlap, all are aligned, and the
-    /// free-frame accounting is exact.
-    #[test]
-    fn buddy_no_overlap_and_exact_accounting(ops in arb_ops()) {
-        let total = 4096u64;
-        let mut buddy = BuddyAllocator::new(PhysFrameNum::new(0), total);
-        let mut live: Vec<(PhysFrameNum, u32)> = Vec::new();
-        let mut live_frames = 0u64;
-        for op in ops {
-            match op {
-                Op::Alloc(order) => {
-                    if let Ok(f) = buddy.alloc(order) {
-                        prop_assert_eq!(f.raw() % (1 << order), 0, "alignment");
-                        live.push((f, order));
-                        live_frames += 1 << order;
-                    }
-                }
-                Op::FreeNth(n) => {
-                    if !live.is_empty() {
-                        let (f, order) = live.swap_remove(n % live.len());
-                        buddy.free(f, order);
-                        live_frames -= 1 << order;
-                    }
-                }
-            }
-            prop_assert_eq!(buddy.free_frames(), total - live_frames);
-            // Overlap check over live blocks.
-            let mut covered = HashSet::new();
-            for (f, order) in &live {
-                for off in 0..(1u64 << order) {
-                    prop_assert!(covered.insert(f.raw() + off),
-                                 "overlap at frame {}", f.raw() + off);
-                }
-            }
-        }
-        // Tear down: everything frees and coalesces back to a pristine heap.
-        for (f, order) in live {
-            buddy.free(f, order);
-        }
-        prop_assert_eq!(buddy.free_frames(), total);
-        prop_assert_eq!(buddy.largest_free_order(), Some(MAX_ORDER));
-    }
 
     /// The scatterer never hands out the same frame twice and stays within
     /// the configured physical space.

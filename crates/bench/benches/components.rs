@@ -1,6 +1,6 @@
 //! Component microbenchmarks: the hot structures of the simulator.
 
-use asap_alloc::{BuddyAllocator, FrameAllocator, ScatterAllocator, ScatterConfig};
+use asap_alloc::{FrameAllocator, ScatterAllocator, ScatterConfig};
 use asap_cache::{CacheHierarchy, HierarchyConfig};
 use asap_os::feistel_permute;
 use asap_pt::{BumpNodeAllocator, FlatMirror, PteFlags, WalkSource};
@@ -16,11 +16,14 @@ fn cache_hierarchy(c: &mut Criterion) {
     // samples pay for the first touches of the cache arrays.
     let warm = |step: &mut dyn FnMut()| (0..1 << 20).for_each(|_| step());
 
+    // One core's demand accesses, each issued when the previous returns.
     let mut hier = CacheHierarchy::new(HierarchyConfig::broadwell_like());
-    let mut i = 0u64;
+    let (mut i, mut t) = (0u64, 0u64);
     let mut access = || {
         i = i.wrapping_add(0x9e37_79b9);
-        black_box(hier.access(CacheLineAddr::new(i % (1 << 20))));
+        let r = hier.access(CacheLineAddr::new(i % (1 << 20)), t, 0);
+        t += r.latency;
+        black_box(r);
     };
     warm(&mut access);
     g.bench_function("hierarchy_access", |b| b.iter(&mut access));
@@ -69,9 +72,8 @@ fn cache_hierarchy(c: &mut Criterion) {
     // 40 cycles per prefetch, so the 10 MSHRs are sometimes all busy and
     // the prefetch drops, as on a walk that issues several at once.
     let mut hier = CacheHierarchy::new(HierarchyConfig::broadwell_like());
-    warm(&mut || {
-        hier.access(co.next_line());
-    });
+    let mut t = 0;
+    warm(&mut || t += hier.access(co.next_line(), t, 0).latency);
     let (mut k, mut now) = (0u64, 0u64);
     g.bench_function("prefetch_at", |b| {
         b.iter(|| {
@@ -469,13 +471,6 @@ fn os_run_ahead(c: &mut Criterion) {
 
 fn allocators(c: &mut Criterion) {
     let mut g = c.benchmark_group("components/alloc");
-    g.bench_function("buddy_alloc_free", |b| {
-        let mut buddy = BuddyAllocator::new(PhysFrameNum::new(0), 1 << 16);
-        b.iter(|| {
-            let f = buddy.alloc(0).unwrap();
-            buddy.free(f, 0);
-        })
-    });
     g.bench_function("scatter_alloc", |b| {
         let mut sc = ScatterAllocator::new(ScatterConfig {
             mean_run_len: 8.0,

@@ -1,35 +1,22 @@
 //! Observer-effect benchmarks: proves the telemetry layer's disabled
 //! path costs nothing measurable.
 //!
-//! The `disabled/` rows repeat the `components/cache/hierarchy_access`
-//! and `components/driver/batched_epoch` bodies verbatim on a build that
-//! carries the telemetry hooks — if the hooks were not compiling to
-//! never-taken branches, these rows would drift from their `components/`
-//! twins. The `enabled/` rows are the contrast: the same epoch with a
-//! tracer installed, showing what turning the layer ON costs.
+//! The `disabled/` row repeats the `components/driver/batched_epoch` body
+//! verbatim on a build that carries the telemetry hooks — if the hooks
+//! were not compiling to never-taken branches, this row would drift from
+//! its `components/` twin. The `enabled/` rows are the contrast: the same
+//! epoch with a tracer installed, showing what turning the layer ON costs.
 
-use asap_cache::{CacheHierarchy, HierarchyConfig};
 use asap_core::{Mmu, MmuConfig, TranslationEngine};
 use asap_os::AsapOsConfig;
 use asap_sim::{run_cores_observed, run_scenario, CoreSlot, RunMeta, SimConfig};
 use asap_telemetry::TraceSink;
-use asap_types::{Asid, ByteSize, CacheLineAddr};
+use asap_types::{Asid, ByteSize};
 use asap_workloads::WorkloadSpec;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn disabled_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("telemetry/disabled");
-
-    // Twin of components/cache/hierarchy_access: the fabric hot path has
-    // no telemetry branch at all — this row pins that it stays that way.
-    let mut hier = CacheHierarchy::new(HierarchyConfig::broadwell_like());
-    let mut i = 0u64;
-    g.bench_function("hierarchy_access", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(0x9e37_79b9);
-            hier.access(CacheLineAddr::new(i % (1 << 20)))
-        })
-    });
 
     // Twin of components/driver/batched_epoch: every per-access tracer
     // hook in the engine evaluates `None` here.

@@ -116,25 +116,6 @@ impl Cache {
         (old != 0).then(|| CacheLineAddr::new(old.wrapping_sub(1)))
     }
 
-    /// Removes a line if present; the freed way moves behind the set's
-    /// valid lines.
-    pub fn invalidate(&mut self, line: CacheLineAddr) -> bool {
-        let Some(pos) = self.position(line) else {
-            return false;
-        };
-        let set = self.set_mut(line);
-        set[pos..].rotate_left(1);
-        if let Some(last) = set.last_mut() {
-            *last = 0;
-        }
-        true
-    }
-
-    /// Empties the cache.
-    pub fn flush(&mut self) {
-        self.tags.fill(0);
-    }
-
     /// Hit latency in cycles.
     #[must_use]
     pub fn latency(&self) -> u64 {
@@ -184,11 +165,9 @@ mod tests {
 
     #[test]
     fn miss_does_not_allocate() {
-        let mut c = tiny();
+        let c = tiny();
         assert_eq!(c.position(line(0)), None);
         assert_eq!(c.position(line(0)), None, "still absent after a miss");
-        assert!(c.is_empty());
-        assert!(!c.invalidate(line(0)));
         assert!(c.is_empty());
     }
 
@@ -251,19 +230,6 @@ mod tests {
             assert_eq!(c.insert(line(n)), None);
         }
         assert_eq!(c.len(), 4);
-    }
-
-    #[test]
-    fn invalidate_and_flush() {
-        let mut c = tiny();
-        c.insert(line(0));
-        c.insert(line(2));
-        assert!(c.invalidate(line(2)));
-        assert!(!c.invalidate(line(2)));
-        assert_eq!(c.position(line(0)), Some(0), "survivor moves up");
-        assert_eq!(c.insert(line(4)), None, "the freed way is reused");
-        c.flush();
-        assert!(c.is_empty());
     }
 
     #[test]

@@ -1,6 +1,11 @@
-//! The three-level cache hierarchy plus DRAM.
+//! The three-level cache hierarchy plus DRAM: the machine's one memory
+//! system.
 
-use crate::{Cache, CacheStats, HierarchyConfig, HierarchyStats, MshrFile, MshrOutcome};
+use crate::numa::NumaState;
+use crate::{
+    Cache, CacheStats, HierarchyConfig, HierarchyStats, MshrFile, MshrOutcome, NumaConfig,
+    NumaStats,
+};
 use asap_types::CacheLineAddr;
 
 /// The hierarchy level that ultimately served an access — the per-request
@@ -33,15 +38,6 @@ impl core::fmt::Display for ServedBy {
     }
 }
 
-/// Whether an access is a demand request or an ASAP prefetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// A demand access (data reference or page-walker PT-node read).
-    Demand,
-    /// A best-effort ASAP prefetch.
-    Prefetch,
-}
-
 /// The outcome of one hierarchy access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
@@ -54,14 +50,19 @@ pub struct AccessResult {
     pub merged: bool,
 }
 
-/// A three-level cache hierarchy with DRAM backing and an L1-D MSHR file for
-/// in-flight ASAP prefetches.
+/// A three-level cache hierarchy with DRAM backing, an L1-D MSHR file for
+/// in-flight ASAP prefetches and, optionally, NUMA homing of DRAM.
 ///
 /// Timing model: a hit at level *n* costs that level's configured total
 /// latency (Table 5 latencies are load-to-use, not incremental); a full miss
-/// costs the memory latency. Fills install the line in every level (the
-/// paper routes ASAP prefetches "into the L1-D", and walker/demand misses
-/// likewise allocate up the hierarchy).
+/// costs the memory latency, plus [`NumaConfig::hop_cycles`] when the line
+/// is homed on another node than the requester's. Fills install the line in
+/// every level (the paper routes ASAP prefetches "into the L1-D", and
+/// walker/demand misses likewise allocate up the hierarchy).
+///
+/// The hierarchy keeps no clock: every request carries the issuing core's
+/// local cycle, so N cores with their own clocks can share it (through
+/// [`SharedFabric`](crate::SharedFabric) handles).
 ///
 /// The hierarchy owns the only per-level counters: hits and misses of
 /// demand lookups, lines installed and the valid lines those installs
@@ -73,7 +74,8 @@ pub struct CacheHierarchy {
     memory_latency: u64,
     mshrs: MshrFile,
     stats: HierarchyStats,
-    now: u64,
+    /// `None` until [`CacheHierarchy::configure_numa`]: uniform memory.
+    numa: Option<NumaState>,
 }
 
 /// Makes `line` the most recent line of `cache`, given its probed position:
@@ -104,46 +106,55 @@ impl CacheHierarchy {
             memory_latency: config.memory_latency,
             mshrs: MshrFile::new(config.mshr_entries),
             stats: HierarchyStats::default(),
-            now: 0,
+            numa: None,
         }
     }
 
-    /// The internal clock, advanced by [`CacheHierarchy::access`] and
-    /// [`CacheHierarchy::advance`].
+    /// Spreads DRAM over `config.nodes` memory nodes and homes each
+    /// `(start_line, lines)` physical window on a node, round-robin in the
+    /// order given. Models default first-touch-free page placement at
+    /// datacenter scale: allocation classes spread across sockets, so every
+    /// core ends up with a deterministic mix of local and remote windows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on fewer than two nodes — a one-node "topology" is uniform
+    /// memory and stays unconfigured — or on overlapping windows.
+    pub fn configure_numa(
+        &mut self,
+        config: NumaConfig,
+        windows: impl IntoIterator<Item = (CacheLineAddr, u64)>,
+    ) {
+        self.numa = Some(NumaState::new(config, windows));
+    }
+
+    /// The home node of `line`, when NUMA is configured and the line falls
+    /// in a registered window.
     #[must_use]
-    pub fn now(&self) -> u64 {
-        self.now
+    pub fn home_node(&self, line: CacheLineAddr) -> Option<usize> {
+        self.numa.as_ref().and_then(|n| n.home_node(line))
     }
 
-    /// Advances the internal clock (e.g. to account for non-memory work
-    /// between accesses).
-    pub fn advance(&mut self, cycles: u64) {
-        self.now += cycles;
-    }
-
-    /// Demand access at the internal clock; the clock then advances past the
-    /// access (serialized execution, which is how a page walk behaves).
-    pub fn access(&mut self, line: CacheLineAddr) -> AccessResult {
-        let result = self.access_at(line, self.now);
-        self.now += result.latency;
-        result
-    }
-
-    /// Demand access at an explicit cycle `now` (does not move the internal
-    /// clock). Used by the walk timeline, which interleaves walker progress
-    /// and prefetch completions.
-    pub fn access_at(&mut self, line: CacheLineAddr, now: u64) -> AccessResult {
-        // An in-flight prefetch to the same line absorbs the demand miss.
+    /// A demand access issued at the caller's local cycle `now` by a core
+    /// on NUMA node `node` (0 on a uniform-memory machine). An in-flight
+    /// prefetch to the line absorbs it: the request waits only for the
+    /// residual and pays no hop, since it rides a fill already under way.
+    pub fn access(&mut self, line: CacheLineAddr, now: u64, node: usize) -> AccessResult {
         if let Some((completion, source)) = self.mshrs.in_flight(line, now) {
             self.stats.mshr_merges += 1;
-            let latency = completion.saturating_sub(now).max(self.l1_latency());
+            let latency = completion.saturating_sub(now).max(self.levels[0].latency());
             return AccessResult {
                 latency,
                 served_by: source,
                 merged: true,
             };
         }
-        let (latency, served_by) = self.lookup_and_fill(line);
+        let (mut latency, served_by) = self.lookup_and_fill(line);
+        if served_by == ServedBy::Memory {
+            if let Some(numa) = self.numa.as_mut() {
+                latency += numa.dram_hop(line, node);
+            }
+        }
         AccessResult {
             latency,
             served_by,
@@ -156,7 +167,9 @@ impl CacheHierarchy {
     /// Returns the completion cycle, or `None` if the prefetch was dropped
     /// because no MSHR was available. A prefetch to a line already resident
     /// in L1 is a no-op completing immediately; a prefetch to a line already
-    /// in flight merges with the existing entry.
+    /// in flight merges with the existing entry. A prefetch pays no
+    /// interconnect hop and counts in no [`NumaStats`], even for a line
+    /// homed on a remote node; only demand accesses do.
     pub fn prefetch_at(&mut self, line: CacheLineAddr, now: u64) -> Option<u64> {
         // In-flight entries are checked before residency: fills are installed
         // optimistically at issue time, so an in-flight line already appears
@@ -236,27 +249,6 @@ impl CacheHierarchy {
             .1
     }
 
-    /// Invalidates a line everywhere.
-    pub fn invalidate(&mut self, line: CacheLineAddr) {
-        for cache in &mut self.levels {
-            cache.invalidate(line);
-        }
-    }
-
-    /// Empties all levels and the MSHR file (stats preserved).
-    pub fn flush(&mut self) {
-        for cache in &mut self.levels {
-            cache.flush();
-        }
-        self.mshrs.clear();
-    }
-
-    /// L1 hit latency (the floor for any demand access).
-    #[must_use]
-    pub fn l1_latency(&self) -> u64 {
-        self.levels[0].latency()
-    }
-
     /// L2 hit latency — what a cache-resident TLB-block lookup costs.
     #[must_use]
     pub fn l2_latency(&self) -> u64 {
@@ -292,21 +284,24 @@ impl CacheHierarchy {
         self.levels[1].contains(line)
     }
 
-    /// DRAM latency.
-    #[must_use]
-    pub fn memory_latency(&self) -> u64 {
-        self.memory_latency
-    }
-
-    /// Accumulated statistics.
+    /// Accumulated statistics (machine-wide, across all cores).
     #[must_use]
     pub fn stats(&self) -> &HierarchyStats {
         &self.stats
     }
 
+    /// DRAM locality counters (zero until NUMA is configured).
+    #[must_use]
+    pub fn numa_stats(&self) -> NumaStats {
+        self.numa.as_ref().map(|n| n.stats).unwrap_or_default()
+    }
+
     /// Resets statistics (e.g. after warmup) without touching contents.
     pub fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
+        if let Some(numa) = self.numa.as_mut() {
+            numa.stats = NumaStats::default();
+        }
     }
 }
 
@@ -318,14 +313,26 @@ mod tests {
         CacheHierarchy::new(HierarchyConfig::tiny_for_tests())
     }
 
+    /// A node-0 demand access at cycle 0 (no prefetch in flight).
+    fn demand(h: &mut CacheHierarchy, line: u64) -> AccessResult {
+        h.access(CacheLineAddr::new(line), 0, 0)
+    }
+
+    /// Lines 1 + 16i, i = 1..=8, conflict with line 1's set in the tiny
+    /// L1 (16 sets x 4 ways) and push it out of the L1 only.
+    fn thrash_l1_set_of_line_1(h: &mut CacheHierarchy) {
+        for i in 1..=8u64 {
+            demand(h, 1 + i * 16);
+        }
+    }
+
     #[test]
     fn miss_fills_all_levels() {
         let mut h = tiny();
-        let line = CacheLineAddr::new(0x99);
-        let r = h.access(line);
+        let r = demand(&mut h, 0x99);
         assert_eq!(r.served_by, ServedBy::Memory);
         assert_eq!(r.latency, 191);
-        let r2 = h.access(line);
+        let r2 = demand(&mut h, 0x99);
         assert_eq!(r2.served_by, ServedBy::L1);
         assert_eq!(r2.latency, 4);
     }
@@ -333,14 +340,9 @@ mod tests {
     #[test]
     fn l2_serves_after_l1_eviction() {
         let mut h = tiny();
-        let line = CacheLineAddr::new(1);
-        h.access(line);
-        // Thrash L1 (64 lines, 16 sets x 4 ways in tiny config) with lines
-        // that conflict on the same set as `line`.
-        for i in 1..=8u64 {
-            h.access(CacheLineAddr::new(1 + i * 16));
-        }
-        let r = h.access(line);
+        demand(&mut h, 1);
+        thrash_l1_set_of_line_1(&mut h);
+        let r = demand(&mut h, 1);
         assert_eq!(r.served_by, ServedBy::L2);
         assert_eq!(r.latency, 12);
     }
@@ -352,7 +354,7 @@ mod tests {
         let completion = h.prefetch_at(line, 0).expect("mshr available");
         assert_eq!(completion, 191);
         // Demand access after completion: plain L1 hit.
-        let r = h.access_at(line, 200);
+        let r = h.access(line, 200, 0);
         assert_eq!(r.served_by, ServedBy::L1);
         assert_eq!(r.latency, 4);
         assert!(!r.merged);
@@ -364,7 +366,7 @@ mod tests {
         let line = CacheLineAddr::new(0x41);
         let completion = h.prefetch_at(line, 0).unwrap();
         // Walker arrives at cycle 100 < 191: waits only the residual.
-        let r = h.access_at(line, 100);
+        let r = h.access(line, 100, 0);
         assert!(r.merged);
         assert_eq!(r.latency, completion - 100);
         assert_eq!(r.served_by, ServedBy::Memory);
@@ -377,7 +379,7 @@ mod tests {
         let line = CacheLineAddr::new(0x42);
         let completion = h.prefetch_at(line, 0).unwrap();
         // Demand lands 1 cycle before completion: cannot beat an L1 hit.
-        let r = h.access_at(line, completion - 1);
+        let r = h.access(line, completion - 1, 0);
         assert!(r.merged);
         assert_eq!(r.latency, 4);
     }
@@ -386,8 +388,7 @@ mod tests {
     fn prefetch_to_resident_line_is_free() {
         let mut h = tiny();
         let line = CacheLineAddr::new(0x43);
-        h.access(line); // now resident
-        let now = h.now();
+        let now = h.access(line, 0, 0).latency; // now resident
         assert_eq!(h.prefetch_at(line, now), Some(now));
         assert_eq!(h.stats().prefetch_fills, 0);
     }
@@ -417,53 +418,47 @@ mod tests {
     }
 
     #[test]
-    fn internal_clock_advances_with_access() {
-        let mut h = tiny();
-        assert_eq!(h.now(), 0);
-        h.access(CacheLineAddr::new(1));
-        assert_eq!(h.now(), 191);
-        h.access(CacheLineAddr::new(1));
-        assert_eq!(h.now(), 195);
-        h.advance(5);
-        assert_eq!(h.now(), 200);
-    }
-
-    #[test]
     fn source_probe_matches_access() {
         let mut h = tiny();
-        let line = CacheLineAddr::new(77);
+        let line = CacheLineAddr::new(1);
         assert_eq!(h.source_of(line), ServedBy::Memory);
-        h.access(line);
+        demand(&mut h, 1);
         assert_eq!(h.source_of(line), ServedBy::L1);
-        h.invalidate(line);
-        assert_eq!(h.source_of(line), ServedBy::Memory);
+        thrash_l1_set_of_line_1(&mut h);
+        assert_eq!(h.source_of(line), ServedBy::L2);
+        assert_eq!(demand(&mut h, 1).served_by, ServedBy::L2);
     }
 
     #[test]
     fn prefetch_from_l2_refreshes_the_outer_levels() {
         let mut h = tiny();
-        let line = CacheLineAddr::new(2);
-        h.access(line);
-        h.levels[0].invalidate(line);
+        let line = CacheLineAddr::new(1);
+        demand(&mut h, 1);
+        thrash_l1_set_of_line_1(&mut h);
         assert_eq!(h.source_of(line), ServedBy::L2);
+        let before = h.stats().levels.map(|l| l.fills);
         assert_eq!(h.prefetch_at(line, 0), Some(12));
         assert_eq!(h.levels.each_ref().map(|c| c.position(line)), [Some(0); 3]);
-        let l1 = &h.stats().levels[0];
-        assert_eq!((l1.fills, h.stats().levels[1].fills), (2, 1));
+        let after = h.stats().levels.map(|l| l.fills);
+        assert_eq!(
+            [0, 1, 2].map(|i| after[i] - before[i]),
+            [1, 0, 0],
+            "only L1 fills"
+        );
     }
 
     #[test]
     fn fills_minus_evictions_is_residency() {
         // Demand accesses, prefetches, L2 block installs and block probes
-        // over four times the lines the tiny LLC holds.
+        // over four times the lines the tiny LLC holds, on one core's clock.
         let mut h = tiny();
+        let mut now = 0;
         let mut x = 1u64;
         for i in 0..20_000u64 {
             x = x
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             let line = CacheLineAddr::new((x >> 33) % 4096);
-            let now = h.now();
             match i % 5 {
                 0 => {
                     let _ = h.prefetch_at(line, now);
@@ -472,9 +467,7 @@ mod tests {
                 2 => {
                     let _ = h.l2_lookup(line);
                 }
-                _ => {
-                    let _ = h.access(line);
-                }
+                _ => now += h.access(line, now, 0).latency,
             }
         }
         for (cache, stats) in h.levels.iter().zip(&h.stats().levels) {
@@ -486,14 +479,5 @@ mod tests {
                 cache.config().name
             );
         }
-    }
-
-    #[test]
-    fn flush_clears_contents() {
-        let mut h = tiny();
-        let line = CacheLineAddr::new(5);
-        h.access(line);
-        h.flush();
-        assert_eq!(h.source_of(line), ServedBy::Memory);
     }
 }

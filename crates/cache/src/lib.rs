@@ -14,10 +14,13 @@
 //!   prefetch requests in L1-D's MSHRs");
 //! * a three-level hierarchy plus DRAM ([`CacheHierarchy`]) with the paper's
 //!   Table 5 latencies, attributing every access to the level that served it
-//!   ([`ServedBy`], the raw material of the paper's Figure 9);
-//! * the shared, explicitly-timed multi-core view of that hierarchy
-//!   ([`MemoryFabric`] / [`SharedFabric`]) that N per-core translation
-//!   engines reference when simulating an SMP machine.
+//!   ([`ServedBy`], the raw material of the paper's Figure 9). It is the
+//!   machine's one memory system: it keeps no clock (every request carries
+//!   the issuing core's local cycle), and it optionally homes DRAM windows
+//!   on NUMA nodes ([`NumaConfig`]), charging a remote DRAM access the
+//!   interconnect hop;
+//! * [`SharedFabric`], the handle each of N per-core translation engines
+//!   holds to that one hierarchy when simulating an SMP machine.
 //!
 //! `SetAssoc` and `Cache` keep each set in recency order, most recent
 //! first, so exact LRU needs no state beyond the entries themselves: a hit
@@ -32,9 +35,11 @@
 //!
 //! let mut hier = CacheHierarchy::new(HierarchyConfig::broadwell_like());
 //! let line = CacheLineAddr::new(0x40);
-//! let first = hier.access(line);
+//! // A demand access at cycle 0 from a core on node 0 ...
+//! let first = hier.access(line, 0, 0);
 //! assert_eq!(first.served_by, ServedBy::Memory);
-//! let second = hier.access(line);
+//! // ... and the same line again once the first returned.
+//! let second = hier.access(line, first.latency, 0);
 //! assert_eq!(second.served_by, ServedBy::L1);
 //! assert!(second.latency < first.latency);
 //! ```
@@ -48,12 +53,14 @@ mod config;
 mod fabric;
 mod hierarchy;
 mod mshr;
+mod numa;
 mod stats;
 
 pub use assoc::{Eviction, SetAssoc};
 pub use cache::Cache;
 pub use config::{CacheConfig, HierarchyConfig};
-pub use fabric::{MemoryFabric, NumaConfig, NumaStats, SharedFabric, NUMA_HOP_CYCLES};
-pub use hierarchy::{AccessKind, AccessResult, CacheHierarchy, ServedBy};
+pub use fabric::SharedFabric;
+pub use hierarchy::{AccessResult, CacheHierarchy, ServedBy};
 pub use mshr::{MshrFile, MshrOutcome};
+pub use numa::{NumaConfig, NumaStats, NUMA_HOP_CYCLES};
 pub use stats::{CacheStats, HierarchyStats};

@@ -118,17 +118,6 @@ impl MshrFile {
     pub fn occupied(&self) -> usize {
         self.entries.len()
     }
-
-    /// Total number of registers.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drops all in-flight entries.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -186,14 +175,6 @@ mod tests {
         let out = m.allocate(line, 50, 300, ServedBy::Memory);
         assert_eq!(out, MshrOutcome::Merged { completion: 191 });
         assert_eq!(m.occupied(), 1);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut m = MshrFile::new(2);
-        m.allocate(CacheLineAddr::new(1), 0, 10, ServedBy::L2);
-        m.clear();
-        assert_eq!(m.occupied(), 0);
     }
 
     #[test]

@@ -124,8 +124,6 @@ enum CacheOp {
     /// demand step and fill).
     AccessOrFill(u64),
     Position(u64),
-    Invalidate(u64),
-    Flush,
 }
 
 /// Victima parks TLB blocks under line numbers with bit 62 set.
@@ -145,11 +143,8 @@ fn arb_cache_ops(config: &CacheConfig, len: usize) -> impl Strategy<Value = Vec<
             line
         }
     });
-    // Flushes are rare enough that a 20-way set fills between two.
     let op = (0u8..200, line).prop_map(|(kind, line)| match kind {
-        0 => CacheOp::Flush,
-        1..=15 => CacheOp::Invalidate(line),
-        16..=45 => CacheOp::Position(line),
+        0..=45 => CacheOp::Position(line),
         46..=95 => CacheOp::Access(line),
         _ => CacheOp::AccessOrFill(line),
     });
@@ -197,16 +192,6 @@ fn run_cache(config: &CacheConfig, ops: &[CacheOp], len_every: usize) -> Result<
                     op
                 );
                 prop_assert_eq!(cache.contains(line(l)), model.find(set_of(l), l).is_some());
-            }
-            CacheOp::Invalidate(l) => prop_assert_eq!(
-                cache.invalidate(line(l)),
-                model.invalidate(set_of(l), l).is_some(),
-                "{:?}",
-                op
-            ),
-            CacheOp::Flush => {
-                cache.flush();
-                model.flush();
             }
         }
         if (step + 1) % len_every == 0 || step + 1 == ops.len() {

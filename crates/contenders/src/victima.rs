@@ -82,13 +82,6 @@ impl VictimaConfig {
         self.seed = seed;
         self
     }
-
-    /// Swaps the predictor policy.
-    #[must_use]
-    pub fn with_predictor(mut self, predictor: PtwCostPredictorConfig) -> Self {
-        self.predictor = predictor;
-        self
-    }
 }
 
 /// Victima-specific counters.

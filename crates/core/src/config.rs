@@ -232,14 +232,6 @@ impl NestedMmuConfig {
         self
     }
 
-    /// Swaps both PWC geometries (capacity ablation).
-    #[must_use]
-    pub fn with_pwcs(mut self, pwc: PwcConfig) -> Self {
-        self.guest_pwc = pwc.clone();
-        self.host_pwc = pwc;
-        self
-    }
-
     /// Sets the seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {

@@ -22,7 +22,8 @@
 //! * [`EngineCore`] — the **per-core** plumbing every miss path runs on
 //!   (TLBs, local clock, served-by matrices, walk accounting, prefetch
 //!   issue, the stock 1D walk) over a [`SharedFabric`] handle to the
-//!   machine's one memory fabric, so N cores contend for the same caches.
+//!   machine's one [`CacheHierarchy`](asap_cache::CacheHierarchy), so N
+//!   cores contend for the same caches.
 //!
 //! # Adding a backend
 //!
@@ -544,15 +545,14 @@ pub struct Walk1d {
 /// The **private, per-core** state and plumbing every miss path runs on:
 /// the L1/L2 TLB hierarchy, the core's local clock, the served-by
 /// matrices and walk accounting — plus a handle to the machine's
-/// **shared** [`MemoryFabric`](asap_cache::MemoryFabric) (caches, DRAM,
-/// MSHRs), which N cores of an SMP machine reference through cloned
-/// [`SharedFabric`] handles. [`Engine`] owns one; a [`Backend`] is handed
-/// it on every S-TLB miss.
+/// **shared** [`CacheHierarchy`](asap_cache::CacheHierarchy) (caches,
+/// DRAM, MSHRs, NUMA homing), which N cores of an SMP machine reference
+/// through cloned [`SharedFabric`] handles. [`Engine`] owns one; a
+/// [`Backend`] is handed it on every S-TLB miss.
 ///
-/// Timing model: the core keeps its own cycle counter and stamps it onto
-/// every fabric request, so a single-core machine behaves exactly as when
-/// the hierarchy owned the clock, while multiple cores interleave their
-/// locally-timed requests over one fabric.
+/// Timing model: the hierarchy keeps no clock. The core keeps its own
+/// cycle counter and stamps it onto every fabric request, so multiple
+/// cores interleave their locally-timed requests over one hierarchy.
 #[derive(Debug)]
 pub struct EngineCore {
     /// The L1/L2 TLB hierarchy (per-core private fast path).
@@ -854,14 +854,18 @@ mod tests {
         );
         assert_eq!(b.now(), second.latency, "clocks are per-core");
         assert!(a.now() > b.now());
-        assert_eq!(a.core.fabric().ports(), 2);
+        assert_eq!(
+            a.core.fabric().stats().levels[0].hits,
+            1,
+            "B's hit is in A's L1"
+        );
     }
 
     #[test]
     fn private_fabric_matches_the_old_internal_clock_model() {
-        // The clock-mirroring contract behind the engine-parity goldens: a
-        // single core stamping its local clock onto every fabric request
-        // reproduces the exact latencies of the hierarchy-owned clock.
+        // The clock contract behind the engine-parity goldens: a single
+        // core stamping its local clock onto every fabric request sees a
+        // serialized hierarchy, and advances by exactly each latency.
         let mut mmu =
             Mmu::new(MmuConfig::default().with_hierarchy(HierarchyConfig::tiny_for_tests()));
         let pa = PhysAddr::new(0x9000);

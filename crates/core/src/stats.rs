@@ -30,9 +30,6 @@ impl ServedSource {
             },
         }
     }
-
-    /// Column headers matching [`ServedSource::column`].
-    pub const COLUMNS: [&'static str; 5] = ["PWC", "L1", "L2", "LLC", "Mem"];
 }
 
 impl core::fmt::Display for ServedSource {

@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn alloc_error_converts() {
-        let e: OsError = asap_alloc::AllocError::OutOfMemory { order: 0 }.into();
+        let e: OsError = asap_alloc::AllocError::OutOfMemory.into();
         assert_eq!(e, OsError::OutOfMemory);
     }
 }

@@ -143,7 +143,6 @@ pub struct Process {
     /// Per-VMA base into the process-relative data-page index space,
     /// indexed by [`VmaId`] (the tree numbers its VMAs densely from 0).
     data_index_base: Vec<u64>,
-    next_data_index: u64,
     descriptors: Vec<VmaDescriptor>,
     faults: u64,
     rng: SmallRng,
@@ -209,7 +208,6 @@ impl Process {
             ),
             asap: config.asap,
             data_index_base,
-            next_data_index,
             descriptors: Vec::new(),
             faults: 0,
             rng: SmallRng::seed_from_u64(config.seed ^ 0x05),
@@ -392,13 +390,6 @@ impl Process {
     #[must_use]
     pub fn fault_count(&self) -> u64 {
         self.faults
-    }
-
-    /// Data-page index space consumed so far (diagnostic; grows as VMAs are
-    /// added).
-    #[must_use]
-    pub fn data_pages_indexed(&self) -> u64 {
-        self.next_data_index
     }
 
     /// Holes punched in reservations so far (§3.7.2 diagnostics).

@@ -1,9 +1,9 @@
 //! Native machine assembly: builds `spec.cores` per-core engines —
-//! Baseline, ASAP, Victima or Revelator — over ONE shared
-//! [`SharedFabric`] for a unified [`RunSpec`] whose machine axis is
-//! native, and hands them to the cycle-interleaved driver through
-//! [`drive`], which the virtualized assembly shares. Reached only through
-//! [`RunSpec::run_split`]'s internal dispatch.
+//! Baseline, ASAP, Victima or Revelator — over ONE shared cache hierarchy
+//! (one [`SharedFabric`] handle per core) for a unified [`RunSpec`] whose
+//! machine axis is native, and hands them to the cycle-interleaved driver
+//! through [`drive`], which the virtualized assembly shares. Reached only
+//! through [`RunSpec::run_split`]'s internal dispatch.
 //!
 //! One core is the classic paper machine: core 0 keeps the run seed and
 //! ASID 1, its row carries the plain workload name, and a colocated spec
@@ -111,12 +111,11 @@ fn attach_cores<E>(
         // local and remote windows (half remote at 2 nodes, three quarters
         // at 4), and page-table windows land remote for most cores —
         // exactly the traffic that stresses walk latency at rack scale.
-        fabric.configure_numa(NumaConfig::symmetric(nodes));
-        for i in 0..spec.cores {
-            for (base, frames) in PhysMap::new(core_asid(i)).windows() {
-                fabric.assign_window(frame_line(base), frames << 6);
-            }
-        }
+        let windows = (0..spec.cores).flat_map(|i| PhysMap::new(core_asid(i)).windows());
+        fabric.configure_numa(
+            NumaConfig::symmetric(nodes),
+            windows.map(|(base, frames)| (frame_line(base), frames << 6)),
+        );
     }
     (0..spec.cores)
         .map(|i| attach(fabric.for_node(i % nodes)))

@@ -90,11 +90,6 @@ impl VirtualMachine {
         &self.guest
     }
 
-    /// The guest process, mutably (dataset loading, heap growth).
-    pub fn guest_mut(&mut self) -> &mut Process {
-        &mut self.guest
-    }
-
     /// The nested table.
     #[must_use]
     pub fn ept(&self) -> &Ept {

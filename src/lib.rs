@@ -17,7 +17,7 @@
 //! | [`types`] | `asap-types` | addresses, pages, PT levels |
 //! | [`cache`] | `asap-cache` | caches, MSHRs, hierarchy timing |
 //! | [`pt`] | `asap-pt` | x86-64 radix page table + walker |
-//! | [`alloc`] | `asap-alloc` | buddy/scatter allocators, reservations |
+//! | [`alloc`] | `asap-alloc` | scatter allocator, reservations |
 //! | [`tlb`] | `asap-tlb` | TLBs, page-walk caches, clustered TLB |
 //! | [`os`] | `asap-os` | VMAs, demand paging, ASAP OS policy |
 //! | [`virt`] | `asap-virt` | nested (2D) translation |

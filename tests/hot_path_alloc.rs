@@ -154,10 +154,11 @@ fn native<E: TranslationEngine<Machine = Process>>(
     let streams = machines.iter().map(|p| w.build_stream(p, 7)).collect();
     let fabric = SharedFabric::new(HierarchyConfig::broadwell_like());
     if nodes > 1 {
-        fabric.configure_numa(NumaConfig::symmetric(nodes));
-        for (base, frames) in (0..cores).flat_map(|i| PhysMap::new(asid(i)).windows()) {
-            fabric.assign_window(CacheLineAddr::new(base.raw() << 6), frames << 6);
-        }
+        let windows = (0..cores).flat_map(|i| PhysMap::new(asid(i)).windows());
+        fabric.configure_numa(
+            NumaConfig::symmetric(nodes),
+            windows.map(|(base, frames)| (CacheLineAddr::new(base.raw() << 6), frames << 6)),
+        );
     }
     let engines = (0..cores).map(|i| engine(fabric.for_node(i % nodes)));
     replay_counts(engines.collect(), machines, streams)

@@ -8,18 +8,30 @@
 //! never a bound to loosen. Each test names the mechanism it guards.
 
 use asap::core::{AsapHwConfig, NestedAsapConfig};
-use asap::sim::{EngineSelect, RunResult, RunSpec, SimConfig};
+use asap::sim::{EngineSelect, RunOutput, RunResult, RunSpec, SimConfig};
 use asap::workloads::WorkloadSpec;
 
-fn run(spec: RunSpec) -> RunResult {
-    let sim = SimConfig {
+/// `spec` at 500 + 2,000 accesses per core.
+fn tiny(spec: RunSpec) -> RunSpec {
+    spec.with_sim(SimConfig {
         warmup_accesses: 500,
         measure_accesses: 2_000,
         ..SimConfig::default()
-    };
+    })
+}
+
+fn run(spec: RunSpec) -> RunResult {
     let label = spec.label();
-    spec.with_sim(sim)
+    tiny(spec)
         .run()
+        .map_err(|e| format!("{label}: {e}"))
+        .unwrap()
+}
+
+fn run_split(spec: RunSpec) -> RunOutput {
+    let label = spec.label();
+    tiny(spec)
+        .run_split()
         .map_err(|e| format!("{label}: {e}"))
         .unwrap()
 }
@@ -86,6 +98,26 @@ fn asap_keeps_baseline_tlb_misses_and_walks() {
                 "{}: ASAP never prefetched",
                 asap.label
             );
+        }
+    });
+}
+
+/// The same holds on every core of a machine whose cores share one cache
+/// hierarchy: each core has its own process and TLBs, and another core's
+/// prefetches can change only its timing, never its S-TLB misses or walks.
+#[test]
+fn asap_keeps_every_cores_tlb_misses_and_walks() {
+    each_workload(|w| {
+        for cores in [2, 4, 16] {
+            let per_core = |spec: RunSpec| run_split(spec.with_cores(cores)).per_core;
+            let base = per_core(RunSpec::new(w.clone()));
+            let asap = per_core(RunSpec::new(w.clone()).with_engine(EngineSelect::asap_p1_p2()));
+            assert_eq!((base.len(), asap.len()), (cores, cores), "{}", w.name);
+            for (b, a) in base.iter().zip(&asap) {
+                assert_eq!(a.l2_tlb_misses, b.l2_tlb_misses, "{}", a.label);
+                assert_eq!(a.walks.count(), b.walks.count(), "{}", a.label);
+                assert!(a.prefetches_issued > 0, "{}: never prefetched", a.label);
+            }
         }
     });
 }
